@@ -10,12 +10,11 @@ from .montecarlo import (BoundCheck, McConfig, McEstimate, ModelSpec,
                          SpacingStats, estimate_dos, estimate_ids,
                          frac_moment_decay, mc_minami, mc_wegner_nlevel,
                          rescaled_points, spacing_experiment)
-from .spectral import (ComplexEnergy, GreenBlock, NonHermitianError,
-                       NumericalFault, SpectralDecomposition,
-                       count_eigenvalues, det_identity_check, det_im,
-                       eig_hermitian, frac_moment, green_block, krein_check,
-                       resolvent, schur_check, sum_principal_minors,
-                       wedge_count_check)
+from .spectral import (GreenBlock, NonHermitianError, NumericalFault,
+                       SpectralDecomposition, count_eigenvalues,
+                       det_identity_check, det_im, eig_hermitian, frac_moment,
+                       green_block, krein_check, resolvent, schur_check,
+                       sum_principal_minors, wedge_count_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

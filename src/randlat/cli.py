@@ -1,5 +1,5 @@
-"""Command-line orchestration: JSON config parsing, experiment dispatch,
-seeded runs, and machine-readable output (json-lines / csv).
+"""Command-line orchestration: JSON config parsing, the experiment
+registry, seeded runs, and machine-readable output (json-lines / csv).
 
 Exit codes: 0 all verdicts PASS (or no verdicts), 1 a verdict FAILED,
 2 configuration error, 3 numerical fault or I/O failure.
@@ -13,12 +13,13 @@ import math
 import os
 import sys
 import time
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import integrals, lattice, montecarlo
-from .spectral import NumericalFault
+from . import lattice, montecarlo
+from .spectral import NumericalFault, _as_z, _check_subset
 
 SCHEMA_TAG = "randlat-result/1"
 OUT_DIR_ENV = "RANDLAT_OUT_DIR"
@@ -53,7 +54,7 @@ def _parse_background(block: dict, path: str) -> lattice.BackgroundSpec:
             return lattice.Laplacian()
         if variant == "periodic":
             return lattice.PeriodicPotential(period=tuple(block["period"]),
-                                             values=tuple(block["values"]))
+                                             values=tuple(float(v) for v in block["values"]))
         if variant == "magnetic":
             axis_phases = [float(p) for p in block.get("axis_phases", [])]
             field = float(block.get("field", 0.0))
@@ -79,7 +80,7 @@ def _parse_background(block: dict, path: str) -> lattice.BackgroundSpec:
             return None  # diagonal-only test hook
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    except lattice.ModelError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
 
@@ -96,7 +97,7 @@ def _parse_density(block: dict, path: str) -> lattice.DisorderDensity:
                 weights=tuple(float(w) for w in block["weights"]))
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    except lattice.ModelError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
 
@@ -105,9 +106,9 @@ def _parse_model(block: dict, path: str) -> montecarlo.ModelSpec:
     _require_keys(block, path, {"sides", "background", "density"}, {"dimension"})
     try:
         box = lattice.LatticeBox(sides=tuple(block["sides"]))
-    except lattice.ModelError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.sides: {exc}") from exc
-    if "dimension" in block and int(block["dimension"]) != box.dimension:
+    if "dimension" in block and block["dimension"] != box.dimension:
         raise ConfigError(f"{path}.dimension: does not match len(sides)")
     return montecarlo.ModelSpec(
         box=box,
@@ -115,15 +116,135 @@ def _parse_model(block: dict, path: str) -> montecarlo.ModelSpec:
         density=_parse_density(block["density"], f"{path}.density"))
 
 
-_EXPERIMENT_KEYS = {
-    "minami": ({"z", "delta", "samples"}, set()),
-    "wegner": ({"interval", "n", "samples"}, set()),
-    "ids": ({"energy", "samples"}, set()),
-    "dos": ({"energy", "samples"}, {"bandwidth"}),
-    "spacing": ({"energy", "window", "samples"}, {"rate", "dos_bandwidth"}),
-    "fracmoment": ({"energy", "eps", "s", "samples"}, {"max_distance"}),
-    "identities": (set(), {"sweep_draws", "sweep_seed"}),
+# ---------------------------------------------------------------------------
+# experiment registry
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a parameter that the config must give
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment.  ``params`` maps each key of the config's
+    experiment block to ``(check, default)``: ``check(value, box)``
+    returns the value the runner gets, or raises ValueError/TypeError.
+    Defaults are checked too.  ``run(params, mc_config)`` returns the
+    records' own fields; ``mc_config`` is None when no model is needed."""
+
+    params: dict[str, tuple[Callable, Any]]
+    run: Callable[[dict, Optional[montecarlo.McConfig]], list[dict]]
+    needs_model: bool = True
+
+
+def _seed(value, box) -> int:
+    return np.random.SeedSequence(int(value)).entropy  # rejects negative seeds
+
+
+def _count(name: str) -> Callable:
+    return lambda value, box: montecarlo.check_count(name, int(value))
+
+
+def _z(value, box) -> complex:
+    re, im = value
+    return _as_z(complex(re, im))
+
+
+def _max_distance(value, box):
+    montecarlo.decay_reach(box, value)
+    return value
+
+
+def _estimate_fields(est: montecarlo.McEstimate) -> dict:
+    return {"mean": est.mean, "stderr": est.stderr, "samples": est.samples}
+
+
+def _bound_fields(check: montecarlo.BoundCheck) -> list[dict]:
+    return [{**_estimate_fields(check.estimate), "bound": check.bound,
+             "slack": check.slack, "z_score": check.z_score,
+             "verdict": check.verdict}]
+
+
+def _run_spacing(p: dict, config: montecarlo.McConfig) -> list[dict]:
+    stats = montecarlo.spacing_experiment(config, p["energy"], p["window"],
+                                          rate=p["rate"],
+                                          dos_bandwidth=p["dos_bandwidth"])
+    return [{"energy": p["energy"], "window": stats.window, "rate": stats.rate,
+             "ks_distance": stats.ks_distance, "ks_pvalue": stats.ks_pvalue,
+             "count_chi2_pvalue": stats.count_chi2_pvalue,
+             "mean_count": stats.mean_count,
+             "expected_count": stats.expected_count,
+             "n_gaps": int(len(stats.gaps)),
+             "count_histogram": np.bincount(stats.counts).tolist()}]
+
+
+def _run_fracmoment(p: dict, config: montecarlo.McConfig) -> list[dict]:
+    fit = montecarlo.frac_moment_decay(config, p["energy"], p["eps"], p["s"],
+                                       max_distance=p["max_distance"])
+    return [{"energy": p["energy"], "eps": p["eps"], "s": p["s"],
+             "slope": fit.slope, "intercept": fit.intercept,
+             "r_squared": fit.r_squared, "below_floor": fit.below_floor,
+             "log_means": fit.log_means.tolist()}]
+
+
+def _run_identities(p: dict, config) -> list[dict]:
+    from . import integrals  # loads scipy.integrate, which no other experiment needs
+    return integrals.identity_suite(sweep_draws=p["sweep_draws"],
+                                    sweep_seed=p["sweep_seed"])
+
+
+_ENERGY = (lambda v, box: float(v), REQUIRED)
+_SAMPLES = (_count("samples"), REQUIRED)
+_BANDWIDTH = (lambda v, box: montecarlo.check_positive("bandwidth", float(v)), 0.05)
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "minami": Experiment(
+        {"z": (_z, REQUIRED),
+         "delta": (lambda v, box: _check_subset(box.n_sites, v), REQUIRED),
+         "samples": _SAMPLES},
+        lambda p, mc: _bound_fields(montecarlo.mc_minami(mc, p["z"], p["delta"]))),
+    "wegner": Experiment(
+        {"interval": (lambda v, box: montecarlo.check_interval(tuple(float(x) for x in v)),
+                      REQUIRED),
+         "n": (_count("n"), REQUIRED),
+         "samples": _SAMPLES},
+        lambda p, mc: _bound_fields(
+            montecarlo.mc_wegner_nlevel(mc, p["interval"], p["n"]))),
+    "ids": Experiment(
+        {"energy": _ENERGY, "samples": _SAMPLES},
+        lambda p, mc: [{"energy": p["energy"], **_estimate_fields(
+            montecarlo.estimate_ids(mc, p["energy"]))}]),
+    "dos": Experiment(
+        {"energy": _ENERGY, "samples": _SAMPLES, "bandwidth": _BANDWIDTH},
+        lambda p, mc: [{"energy": p["energy"], "bandwidth": p["bandwidth"],
+                        **_estimate_fields(montecarlo.estimate_dos(
+                            mc, p["energy"], p["bandwidth"]))}]),
+    "spacing": Experiment(
+        {"energy": _ENERGY,
+         "window": (lambda v, box: montecarlo.check_positive("window", float(v)), REQUIRED),
+         "samples": _SAMPLES,
+         "rate": (lambda v, box: v if v is None else montecarlo.check_positive("rate", v),
+                  None),
+         "dos_bandwidth": _BANDWIDTH},
+        _run_spacing),
+    "fracmoment": Experiment(
+        {"energy": _ENERGY,
+         "eps": (lambda v, box: montecarlo.check_positive("eps", float(v)), REQUIRED),
+         "s": (lambda v, box: montecarlo.check_exponent(float(v)), REQUIRED),
+         "samples": _SAMPLES,
+         "max_distance": (_max_distance, None)},
+        _run_fracmoment),
+    "identities": Experiment(
+        {"sweep_draws": (lambda v, box: int(v), 25), "sweep_seed": (_seed, 0)},
+        _run_identities, needs_model=False),
 }
+
+
+def _checked(path: str, check: Callable, value: Any, box: Optional[lattice.LatticeBox]):
+    """``check(value, box)``, reporting a bad value as a ConfigError at ``path``."""
+    try:
+        return check(value, box)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(raw: dict, overrides: Optional[dict] = None) -> dict:
@@ -131,20 +252,23 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> dict:
     flag overrides applied.  Raises ConfigError with a field path."""
     overrides = overrides or {}
     _require_keys(raw, "config", {"experiment"}, {"model", "runtime"})
+    if not isinstance(raw["experiment"], dict):
+        raise ConfigError("config.experiment: expected an object")
     exp = dict(raw["experiment"])
     if "name" not in exp:
         raise ConfigError("config.experiment.name: missing required key")
     name = exp.pop("name")
-    if name not in _EXPERIMENT_KEYS:
+    if name not in EXPERIMENTS:
         raise ConfigError(f"config.experiment.name: unknown experiment {name!r}")
+    entry = EXPERIMENTS[name]
     if overrides.get("samples") is not None:
         exp["samples"] = overrides["samples"]
-    required, optional = _EXPERIMENT_KEYS[name]
-    _require_keys(exp, "config.experiment", required, optional)
+    required = {key for key, (_, default) in entry.params.items() if default is REQUIRED}
+    _require_keys(exp, "config.experiment", required, set(entry.params) - required)
 
-    runtime = dict(raw.get("runtime", {}))
-    _require_keys(runtime, "config.runtime", set(),
+    _require_keys(raw.get("runtime", {}), "config.runtime", set(),
                   {"seed", "workers", "out", "format"})
+    runtime = dict(raw.get("runtime", {}))
     for key in ("seed", "workers", "out", "format"):
         if overrides.get(key) is not None:
             runtime[key] = overrides[key]
@@ -153,15 +277,22 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> dict:
     runtime.setdefault("format", "json-lines")
     if runtime["format"] not in ("json-lines", "csv"):
         raise ConfigError(f"config.runtime.format: unknown format {runtime['format']!r}")
+    if not isinstance(runtime.get("out", ""), str):  # open() would take an int as a file descriptor
+        raise ConfigError("config.runtime.out: expected a path string")
+    _checked("config.runtime.seed", _seed, runtime["seed"], None)
+    _checked("config.runtime.workers", _count("workers"), runtime["workers"], None)
 
     model = None
-    if name != "identities":
+    if entry.needs_model:
         if "model" not in raw:
             raise ConfigError("config.model: missing required key")
         model = _parse_model(raw["model"], "config.model")
+    box = None if model is None else model.box
+    params = {key: _checked(f"config.experiment.{key}", check, exp.get(key, default), box)
+              for key, (check, default) in entry.params.items()}
 
-    return {"name": name, "experiment": exp, "runtime": runtime,
-            "model": model, "model_raw": raw.get("model"),
+    return {"name": name, "experiment": exp, "params": params,
+            "runtime": runtime, "model": model, "model_raw": raw.get("model"),
             "raw": raw}
 
 
@@ -180,144 +311,22 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
-def _bound_record(cfg: dict, check: montecarlo.BoundCheck) -> dict:
-    return {
-        "schema": SCHEMA_TAG,
-        "experiment": cfg["name"],
-        "config": _config_echo(cfg),
-        "mean": check.estimate.mean,
-        "stderr": check.estimate.stderr,
-        "samples": check.estimate.samples,
-        "bound": check.bound,
-        "slack": check.slack,
-        "z_score": check.z_score,
-        "verdict": check.verdict,
-        "seed": cfg["runtime"]["seed"],
-    }
-
-
-def _mc_config(cfg: dict) -> montecarlo.McConfig:
-    return montecarlo.McConfig(model=cfg["model"],
-                               samples=int(cfg["experiment"]["samples"]),
-                               master_seed=int(cfg["runtime"]["seed"]),
-                               workers=int(cfg["runtime"]["workers"]))
-
-
 def run_experiment(cfg: dict) -> list[dict]:
-    """Execute one parsed experiment config; returns result records."""
-    name = cfg["name"]
-    exp = cfg["experiment"]
-    if name == "identities":
-        return [dict({"schema": SCHEMA_TAG, "experiment": "identities",
-                      "config": _config_echo(cfg)}, **rec)
-                for rec in identity_suite(
-                    sweep_draws=int(exp.get("sweep_draws", 25)),
-                    sweep_seed=int(exp.get("sweep_seed", 0)))]
-
-    config = _mc_config(cfg)
-    if name == "minami":
-        z = complex(exp["z"][0], exp["z"][1])
-        check = montecarlo.mc_minami(config, z, [int(i) for i in exp["delta"]])
-        return [_bound_record(cfg, check)]
-    if name == "wegner":
-        a, b = exp["interval"]
-        check = montecarlo.mc_wegner_nlevel(config, (float(a), float(b)),
-                                            int(exp["n"]))
-        return [_bound_record(cfg, check)]
-    if name == "ids":
-        est = montecarlo.estimate_ids(config, float(exp["energy"]))
-        return [{"schema": SCHEMA_TAG, "experiment": "ids",
-                 "config": _config_echo(cfg), "energy": float(exp["energy"]),
-                 "mean": est.mean, "stderr": est.stderr,
-                 "samples": est.samples, "seed": cfg["runtime"]["seed"]}]
-    if name == "dos":
-        bandwidth = float(exp.get("bandwidth", 0.05))
-        est = montecarlo.estimate_dos(config, float(exp["energy"]), bandwidth)
-        return [{"schema": SCHEMA_TAG, "experiment": "dos",
-                 "config": _config_echo(cfg), "energy": float(exp["energy"]),
-                 "bandwidth": bandwidth, "mean": est.mean, "stderr": est.stderr,
-                 "samples": est.samples, "seed": cfg["runtime"]["seed"]}]
-    if name == "spacing":
-        stats = montecarlo.spacing_experiment(
-            config, float(exp["energy"]), float(exp["window"]),
-            rate=exp.get("rate"),
-            dos_bandwidth=float(exp.get("dos_bandwidth", 0.05)))
-        hist = np.bincount(stats.counts).tolist()
-        return [{"schema": SCHEMA_TAG, "experiment": "spacing",
-                 "config": _config_echo(cfg), "energy": float(exp["energy"]),
-                 "window": stats.window, "rate": stats.rate,
-                 "ks_distance": stats.ks_distance, "ks_pvalue": stats.ks_pvalue,
-                 "count_chi2_pvalue": stats.count_chi2_pvalue,
-                 "mean_count": stats.mean_count,
-                 "expected_count": stats.expected_count,
-                 "n_gaps": int(len(stats.gaps)),
-                 "count_histogram": hist,
-                 "seed": cfg["runtime"]["seed"]}]
-    if name == "fracmoment":
-        fit = montecarlo.frac_moment_decay(
-            config, float(exp["energy"]), float(exp["eps"]), float(exp["s"]),
-            max_distance=exp.get("max_distance"))
-        return [{"schema": SCHEMA_TAG, "experiment": "fracmoment",
-                 "config": _config_echo(cfg), "energy": float(exp["energy"]),
-                 "eps": float(exp["eps"]), "s": float(exp["s"]),
-                 "slope": fit.slope, "intercept": fit.intercept,
-                 "r_squared": fit.r_squared,
-                 "below_floor": fit.below_floor,
-                 "log_means": fit.log_means.tolist(),
-                 "seed": cfg["runtime"]["seed"]}]
-    raise ConfigError(f"config.experiment.name: unknown experiment {name!r}")
-
-
-def identity_suite(sweep_draws: int = 25, sweep_seed: int = 0) -> list[dict]:
-    """The full quadrature-oracle suite: fixed closed-form cases plus a
-    seeded randomized sweep.  One record per check."""
-    records = []
-
-    def add(check: str, case: str, discrepancy: float, contract: float):
-        records.append({"check": check, "case": case,
-                        "discrepancy": discrepancy, "contract": contract,
-                        "verdict": "PASS" if discrepancy <= contract else "FAIL"})
-
-    add("gauss_repr", "n1_pure_imag",
-        integrals.gauss_repr_check(np.array([[-1j]])), 1e-6)
-    add("gauss_repr", "n1_mixed",
-        integrals.gauss_repr_check(np.array([[1.0 - 1j]])), 1e-6)
-    add("gauss_repr", "n2_diag",
-        integrals.gauss_repr_check(np.diag([1.0 - 1j, 2.0 - 1j])), 1e-6)
-    add("gv_line", "cauchy", integrals.gv_line_integral_check(1.0, -1j), 1e-8)
-    add("gv_line", "scaled", integrals.gv_line_integral_check(2.0, -1j), 1e-8)
-    add("gv_quadratic", "unit", integrals.gv_quadratic_integral_check(1, 0, 1), 1e-8)
-    add("gv_quadratic", "mixed", integrals.gv_quadratic_integral_check(1, 1, 1), 1e-8)
-
-    value, bound = integrals.gv_lemma_check(np.array([[1j]]))
-    add("gv_lemma_n1", "cauchy", abs(value - math.pi), 1e-10)
-    value, bound = integrals.gv_lemma_check(np.diag([1j, 1j]))
-    add("gv_lemma_n2", "decoupled", max(0.0, value - bound), 1e-6)
-    value, bound = integrals.gv_lemma_check(np.array([[1j, 0.3], [0.3, 1j]]))
-    add("gv_lemma_n2", "coupled", max(0.0, value - bound), 1e-6)
-
-    rng = np.random.default_rng(sweep_seed)
-    for k in range(sweep_draws):
-        while True:
-            b_part = rng.uniform(-2, 2, size=(2, 2))
-            b_part = (b_part + b_part.T) / 2
-            a_part = rng.uniform(-0.5, 0.5, size=(2, 2))
-            a_part = (a_part + a_part.T) / 2 + np.eye(2) * rng.uniform(1.0, 2.0)
-            m = b_part - 1j * a_part
-            if np.angle(np.linalg.eigvals(m)).sum() > -math.pi + 0.05:
-                break
-        add("gauss_repr", f"sweep_{k}", integrals.gauss_repr_check(m), 1e-6)
-        a, b = complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2))
-        if (np.conj(b) * a).imag <= 0:
-            a = np.conj(a)
-        if (np.conj(b) * a).imag > 1e-3:
-            add("gv_line", f"sweep_{k}", integrals.gv_line_integral_check(a, b), 1e-8)
-        qa = rng.uniform(0.5, 3.0)
-        qb = rng.uniform(-1.0, 1.0)
-        qc = (qb * qb + rng.uniform(0.5, 4.0)) / (4 * qa)
-        add("gv_quadratic", f"sweep_{k}",
-            integrals.gv_quadratic_integral_check(qa, qb, qc), 1e-8)
-    return records
+    """Execute one parsed experiment config; returns result records: the
+    shared head, the experiment's own fields and, for model experiments,
+    the seed."""
+    entry = EXPERIMENTS[cfg["name"]]
+    runtime = cfg["runtime"]
+    head = {"schema": SCHEMA_TAG, "experiment": cfg["name"],
+            "config": _config_echo(cfg)}
+    config, tail = None, {}
+    if entry.needs_model:
+        config = montecarlo.McConfig(model=cfg["model"],
+                                     samples=cfg["params"]["samples"],
+                                     master_seed=int(runtime["seed"]),
+                                     workers=int(runtime["workers"]))
+        tail = {"seed": runtime["seed"]}
+    return [{**head, **fields, **tail} for fields in entry.run(cfg["params"], config)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +439,35 @@ def run(config_path: Optional[str], overrides: Optional[dict] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    records = []
-    any_fail = False
+    # records grouped by destination, each written in the format of the
+    # first item that names it; a fault keeps what earlier items produced
+    groups: dict[Optional[str], tuple[str, list]] = {}
+    code = 0
     try:
         for cfg in configs:
             start = time.monotonic()
-            for rec in run_experiment(cfg):
+            records = run_experiment(cfg)
+            for rec in records:
                 rec["duration_s"] = time.monotonic() - start
-                records.append(rec)
                 if rec.get("verdict") == "FAIL":
-                    any_fail = True
+                    code = 1
+            dest = _resolve_out(cfg["runtime"].get("out"))
+            groups.setdefault(dest, (cfg["runtime"]["format"], []))[1].extend(records)
     except NumericalFault as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
-        return 3
+        code = 3
 
-    fmt = configs[0]["runtime"].get("format", "json-lines")
-    out = _resolve_out(configs[0]["runtime"].get("out"))
     try:
-        if out is None:
-            emit(records, sys.stdout, fmt)
-        else:
-            with open(out, "w") as fh:
-                emit(records, fh, fmt)
+        for dest, (fmt, records) in groups.items():
+            if dest is None:
+                emit(records, sys.stdout, fmt)
+            else:
+                with open(dest, "w") as fh:
+                    emit(records, fh, fmt)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
-    return 1 if any_fail else 0
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -2,7 +2,8 @@
 by the moment bounds: the Gaussian representation of 1/sqrt(det M) for
 matrices with positive-definite imaginary part, two rational line
 integrals, and the determinant-of-imaginary-part integral bound at
-dimensions one and two."""
+dimensions one and two; and the suite that runs them all against their
+error contracts."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .spectral import NumericalFault
 
-class QuadratureError(RuntimeError):
+
+class QuadratureError(NumericalFault):
     """Reported quadrature error exceeds the requested tolerance."""
 
 
@@ -185,3 +188,59 @@ def gv_lemma_check(a_mat) -> tuple[float, float]:
     if err > 1e-6:
         raise QuadratureError(f"quadrature error estimate {err:.3e} too large")
     return float(value), math.pi ** 2
+
+
+# ---------------------------------------------------------------------------
+# the oracle suite
+# ---------------------------------------------------------------------------
+
+def identity_suite(sweep_draws: int = 25, sweep_seed: int = 0) -> list[dict]:
+    """The full quadrature-oracle suite: fixed closed-form cases plus a
+    seeded randomized sweep.  One record per check."""
+    records = []
+
+    def add(check: str, case: str, discrepancy: float, contract: float):
+        records.append({"check": check, "case": case,
+                        "discrepancy": discrepancy, "contract": contract,
+                        "verdict": "PASS" if discrepancy <= contract else "FAIL"})
+
+    add("gauss_repr", "n1_pure_imag",
+        gauss_repr_check(np.array([[-1j]])), 1e-6)
+    add("gauss_repr", "n1_mixed",
+        gauss_repr_check(np.array([[1.0 - 1j]])), 1e-6)
+    add("gauss_repr", "n2_diag",
+        gauss_repr_check(np.diag([1.0 - 1j, 2.0 - 1j])), 1e-6)
+    add("gv_line", "cauchy", gv_line_integral_check(1.0, -1j), 1e-8)
+    add("gv_line", "scaled", gv_line_integral_check(2.0, -1j), 1e-8)
+    add("gv_quadratic", "unit", gv_quadratic_integral_check(1, 0, 1), 1e-8)
+    add("gv_quadratic", "mixed", gv_quadratic_integral_check(1, 1, 1), 1e-8)
+
+    value, bound = gv_lemma_check(np.array([[1j]]))
+    add("gv_lemma_n1", "cauchy", abs(value - math.pi), 1e-10)
+    value, bound = gv_lemma_check(np.diag([1j, 1j]))
+    add("gv_lemma_n2", "decoupled", max(0.0, value - bound), 1e-6)
+    value, bound = gv_lemma_check(np.array([[1j, 0.3], [0.3, 1j]]))
+    add("gv_lemma_n2", "coupled", max(0.0, value - bound), 1e-6)
+
+    rng = np.random.default_rng(sweep_seed)
+    for k in range(sweep_draws):
+        while True:
+            b_part = rng.uniform(-2, 2, size=(2, 2))
+            b_part = (b_part + b_part.T) / 2
+            a_part = rng.uniform(-0.5, 0.5, size=(2, 2))
+            a_part = (a_part + a_part.T) / 2 + np.eye(2) * rng.uniform(1.0, 2.0)
+            m = b_part - 1j * a_part
+            if np.angle(np.linalg.eigvals(m)).sum() > -math.pi + 0.05:
+                break
+        add("gauss_repr", f"sweep_{k}", gauss_repr_check(m), 1e-6)
+        a, b = complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2))
+        if (np.conj(b) * a).imag <= 0:
+            a = np.conj(a)
+        if (np.conj(b) * a).imag > 1e-3:
+            add("gv_line", f"sweep_{k}", gv_line_integral_check(a, b), 1e-8)
+        qa = rng.uniform(0.5, 3.0)
+        qb = rng.uniform(-1.0, 1.0)
+        qc = (qb * qb + rng.uniform(0.5, 4.0)) / (4 * qa)
+        add("gv_quadratic", f"sweep_{k}",
+            gv_quadratic_integral_check(qa, qb, qc), 1e-8)
+    return records

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
                       LatticeBox, SeedRecord, build_background,
@@ -41,10 +40,46 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_count("samples", self.samples)
+        check_count("workers", self.workers)
+
+
+# ---------------------------------------------------------------------------
+# parameter checks, shared by the experiments below and by config parsing
+# ---------------------------------------------------------------------------
+
+def check_count(name: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def check_interval(interval: tuple[float, float]) -> tuple[float, float]:
+    a, b = interval
+    length = b - a
+    if not np.isfinite(length) or length <= 0:
+        raise ValueError(f"interval must be bounded and nonempty, got {interval}")
+    return interval
+
+
+def check_positive(name: str, value: float) -> float:
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
+
+
+def check_exponent(s: float) -> float:
+    if not 0 < s < 1:
+        raise ValueError(f"s must be in (0, 1), got {s}")
+    return s
+
+
+def decay_reach(box: LatticeBox, max_distance: Optional[int]) -> int:
+    """Largest distance along the first axis that the decay fit uses."""
+    reach = box.sides[0] - 1 if max_distance is None else min(max_distance, box.sides[0] - 1)
+    if reach < 3:
+        raise ValueError(f"need at least 3 distances along the first axis, got {reach}")
+    return reach
 
 
 @dataclass(frozen=True)
@@ -133,23 +168,13 @@ def mc_minami(config: McConfig, z, indices: Sequence[int]) -> BoundCheck:
     return BoundCheck(estimate=_estimate(np.array(vals)), bound=bound)
 
 
-def interval_energy(interval: tuple[float, float]) -> complex:
-    """Default spectral parameter tied to an interval [a, b):
-    (a + b + i*|b - a|)/2."""
-    a, b = interval
-    return complex((a + b) / 2.0, abs(b - a) / 2.0)
-
-
 def mc_wegner_nlevel(config: McConfig, interval: tuple[float, float],
                      n: int) -> BoundCheck:
     """Empirical frequency of at least n eigenvalues in the interval vs
     the bound (pi^n / n!) sup_density^n |J|^n |box|^n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    a, b = interval
+    check_count("n", n)
+    a, b = check_interval(interval)
     length = b - a
-    if not np.isfinite(length) or length <= 0:
-        raise ValueError(f"interval must be bounded and nonempty, got {interval}")
 
     def kernel(sample: HamiltonianSample) -> float:
         w = np.linalg.eigvalsh(sample.matrix)
@@ -191,20 +216,20 @@ def estimate_ids(config: McConfig, energy: float) -> McEstimate:
     return _estimate(np.array(run_realizations(config, kernel)))
 
 
+def _dos_count(energy: float, bandwidth: float, vol: int) -> Callable[[np.ndarray], float]:
+    """Per-realization DOS estimate from its spectrum."""
+    check_positive("bandwidth", bandwidth)
+    lo, hi = energy - bandwidth, energy + bandwidth
+    return lambda w: float(np.count_nonzero((w > lo) & (w <= hi))) / (2.0 * bandwidth * vol)
+
+
 def estimate_dos(config: McConfig, energy: float, bandwidth: float = 0.05) -> McEstimate:
     """Central-difference estimate of the density of states at E with
     half-width ``bandwidth``; the O(h) bias is accepted and recorded by
     the caller, not corrected here."""
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    vol = config.model.box.n_sites
-    lo, hi = energy - bandwidth, energy + bandwidth
-
-    def kernel(sample: HamiltonianSample) -> float:
-        w = np.linalg.eigvalsh(sample.matrix)
-        return float(np.count_nonzero((w > lo) & (w <= hi))) / (2.0 * bandwidth * vol)
-
-    return _estimate(np.array(run_realizations(config, kernel)))
+    count = _dos_count(energy, bandwidth, config.model.box.n_sites)
+    return _estimate(np.array(run_realizations(
+        config, lambda s: count(np.linalg.eigvalsh(s.matrix)))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +260,7 @@ class SpacingStats:
 def _poisson_chi2_pvalue(counts: np.ndarray, lam: float) -> float:
     """Chi-square goodness of fit of integer counts against Poisson(lam),
     merging tail bins to keep expected occupancy >= 5."""
+    from scipy import stats
     m = len(counts)
     kmax = int(counts.max())
     observed = np.bincount(counts.astype(int), minlength=kmax + 1).astype(float)
@@ -262,8 +288,9 @@ def spacing_statistics(point_sets: Sequence[np.ndarray], window: float,
     Exponential(rate).  Window counts are tested against
     Poisson(2 * window * rate).
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    from scipy import stats
+    check_positive("window", window)
+    check_positive("rate", rate)
     gap_chunks = []
     counts = []
     for pts in point_sets:
@@ -291,14 +318,13 @@ def spacing_experiment(config: McConfig, energy: float, window: float,
                        dos_bandwidth: float = 0.05) -> SpacingStats:
     """Pool rescaled spectra near ``energy`` over realizations and test
     them against the Poisson predictions at intensity ``rate`` (estimated
-    from the same configuration when not supplied)."""
-    if rate is None:
-        dos = estimate_dos(config, energy, dos_bandwidth)
-        rate = dos.mean
-    if rate <= 0:
-        raise ValueError(f"reference intensity must be > 0, got {rate}")
-    point_sets = run_realizations(config, lambda s: rescaled_points(s, energy))
-    return spacing_statistics(point_sets, window, rate)
+    from the same spectra, as ``estimate_dos`` would, when not supplied)."""
+    vol = config.model.box.n_sites
+    count = _dos_count(energy, dos_bandwidth, vol) if rate is None else None
+    spectra = run_realizations(config, lambda s: np.linalg.eigvalsh(s.matrix))
+    if count is not None:
+        rate = _estimate(np.array([count(w) for w in spectra])).mean
+    return spacing_statistics([vol * (w - energy) for w in spectra], window, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +351,12 @@ def frac_moment_decay(config: McConfig, energy: float, eps: float, s: float,
                       max_distance: Optional[int] = None) -> DecayFit:
     """Estimate E|G(0, y; E + i*eps)|^s for y along the first axis and
     fit the log-mean against distance."""
-    if not 0 < s < 1:
-        raise ValueError(f"s must be in (0, 1), got {s}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_exponent(s)
+    check_positive("eps", eps)
     box = config.model.box
     zc = complex(energy, eps)
     origin = box.index_of((0,) * box.dimension)
-    reach = box.sides[0] - 1 if max_distance is None else min(max_distance, box.sides[0] - 1)
-    if reach < 3:
-        raise ValueError("need at least 3 distances along the first axis")
+    reach = decay_reach(box, max_distance)
     dists = np.arange(1, reach + 1)
     targets = [box.index_of((int(r),) + (0,) * (box.dimension - 1)) for r in dists]
 

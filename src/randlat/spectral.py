@@ -30,24 +30,8 @@ POSITIVITY_TOL = 1e-12
 MINOR_BRUTE_FORCE_CAP = 14
 
 
-@dataclass(frozen=True)
-class ComplexEnergy:
-    """A spectral parameter E + i*eps with eps strictly positive."""
-
-    energy: float
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"imaginary part must be > 0, got {self.eps}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.energy, self.eps)
-
-
-def _as_z(z: Union[ComplexEnergy, complex]) -> complex:
-    zc = z.z if isinstance(z, ComplexEnergy) else complex(z)
+def _as_z(z: complex) -> complex:
+    zc = complex(z)
     if not zc.imag > 0:
         raise ValueError(f"Im z must be > 0, got {zc}")
     return zc

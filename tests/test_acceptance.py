@@ -14,7 +14,7 @@ import randlat as rl
 from randlat import cli
 from randlat import montecarlo as mc
 from randlat import spectral as sp
-from randlat.integrals import gv_lemma_check
+from randlat.integrals import gv_lemma_check, identity_suite
 
 from conftest import random_triple
 
@@ -177,7 +177,7 @@ def test_criterion_08_fractional_moment_decay():
 
 
 def test_criterion_09_oracle_quadrature():
-    records = cli.identity_suite(sweep_draws=25, sweep_seed=0)
+    records = identity_suite(sweep_draws=25, sweep_seed=0)
     failed = [rec for rec in records if rec["verdict"] != "PASS"]
     # the contracts encoded in the suite match the release thresholds
     contracts = {rec["check"]: rec["contract"] for rec in records}

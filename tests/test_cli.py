@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from randlat import cli
+import randlat
+from randlat import cli, integrals
 from randlat.spectral import NumericalFault
 
 
@@ -18,6 +22,16 @@ MINAMI_CONFIG = {
                    "samples": 40},
     "runtime": {"seed": 7, "workers": 2},
 }
+
+
+def set_experiment(**experiment):
+    """A config mutation that replaces the experiment block."""
+    return lambda raw: raw.update(experiment=experiment)
+
+
+def fracmoment(**changes):
+    return set_experiment(**{"name": "fracmoment", "energy": 0.5, "eps": 0.1,
+                             "s": 0.5, "samples": 10, **changes})
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -67,6 +81,45 @@ class TestParseConfig:
         (lambda r: r["model"].update(dimension=2), "config.model.dimension"),
         (lambda r: r["runtime"].update(format="xml"), "config.runtime.format"),
         (lambda r: r["runtime"].update(color=True), "config.runtime.color"),
+        pytest.param(lambda r: r["model"].update(sides=[3]) or fracmoment()(r),
+                     "config.experiment.max_distance", id="fracmoment-sides-3"),
+        pytest.param(lambda r: r["experiment"].update(samples=0),
+                     "config.experiment.samples", id="samples-0"),
+        pytest.param(lambda r: r["experiment"].update(z=[0.5, -0.1]),
+                     "config.experiment.z", id="z-lower-half-plane"),
+        pytest.param(lambda r: r["experiment"].update(z="abc"),
+                     "config.experiment.z", id="z-string"),
+        pytest.param(lambda r: r["experiment"].update(delta=[2, 30]),
+                     "config.experiment.delta", id="delta-out-of-range"),
+        pytest.param(lambda r: r["experiment"].update(delta=[2, 2]),
+                     "config.experiment.delta", id="delta-duplicate"),
+        pytest.param(set_experiment(name="wegner", interval=[0.6, 0.4], n=1,
+                                    samples=10),
+                     "config.experiment.interval", id="interval-reversed"),
+        pytest.param(set_experiment(name="wegner", interval=[0.4, 0.6], n=0,
+                                    samples=10),
+                     "config.experiment.n", id="n-0"),
+        pytest.param(set_experiment(name="dos", energy=0.5, bandwidth=0,
+                                    samples=10),
+                     "config.experiment.bandwidth", id="bandwidth-0"),
+        pytest.param(set_experiment(name="spacing", energy=0.5, window=-1,
+                                    samples=10),
+                     "config.experiment.window", id="window-negative"),
+        pytest.param(fracmoment(s=1.5), "config.experiment.s", id="s-1.5"),
+        pytest.param(fracmoment(eps=0.0), "config.experiment.eps", id="eps-0"),
+        pytest.param(lambda r: r["runtime"].update(workers=0),
+                     "config.runtime.workers", id="workers-0"),
+        pytest.param(lambda r: r["runtime"].update(seed=-1),
+                     "config.runtime.seed", id="seed-negative"),
+        pytest.param(lambda r: r["model"].update(sides=["a"]),
+                     "config.model.sides", id="sides-string"),
+        pytest.param(lambda r: r["model"].update(dimension="x"),
+                     "config.model.dimension", id="dimension-string"),
+        pytest.param(lambda r: r["model"].update(background={
+            "variant": "periodic", "period": [2], "values": [1, "a"]}),
+                     "config.model.background", id="periodic-values-string"),
+        pytest.param(lambda r: r["runtime"].update(out=1),
+                     "config.runtime.out", id="out-int"),
     ])
     def test_error_messages_carry_field_paths(self, mutate, fragment):
         raw = json.loads(json.dumps(MINAMI_CONFIG))
@@ -128,8 +181,14 @@ class TestRun:
         assert cli.run(path) == 2
         assert "config." in capsys.readouterr().err
 
+    def test_bad_value_exit_two(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(MINAMI_CONFIG))
+        raw["experiment"]["z"] = [0.5, -0.1]
+        assert cli.run(write_config(tmp_path, raw)) == 2
+        assert "config.experiment.z" in capsys.readouterr().err
+
     def test_failed_verdict_exit_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "identity_suite",
+        monkeypatch.setattr(integrals, "identity_suite",
                             lambda **kw: [{"verdict": "FAIL"}])
         path = write_config(tmp_path, {"experiment": {"name": "identities"}})
         assert cli.run(path) == 1
@@ -141,6 +200,14 @@ class TestRun:
         path = write_config(tmp_path, MINAMI_CONFIG)
         assert cli.run(path) == 3
         assert "numerical fault" in capsys.readouterr().err
+
+    def test_quadrature_error_exit_three(self, tmp_path, monkeypatch, capsys):
+        def boom(*args):
+            raise integrals.QuadratureError("synthetic")
+        monkeypatch.setattr(integrals, "gv_line_integral_check", boom)
+        path = write_config(tmp_path, {"experiment": {"name": "identities"}})
+        assert cli.run(path) == 3
+        assert "numerical fault: synthetic" in capsys.readouterr().err
 
     def test_unwritable_output_exit_three(self, tmp_path, capsys):
         path = write_config(tmp_path, MINAMI_CONFIG)
@@ -154,6 +221,34 @@ class TestRun:
         assert cli.run(path, {"out": str(out)}) == 0
         records = read_records(out)
         assert [r["experiment"] for r in records] == ["minami", "ids"]
+
+    def test_config_list_items_keep_their_own_output(self, tmp_path):
+        first = json.loads(json.dumps(MINAMI_CONFIG))
+        first["runtime"]["out"] = str(tmp_path / "first.jsonl")
+        second = json.loads(json.dumps(MINAMI_CONFIG))
+        second["experiment"] = {"name": "ids", "energy": 0.5, "samples": 30}
+        second["runtime"].update(out=str(tmp_path / "second.csv"), format="csv")
+        assert cli.run(write_config(tmp_path, [first, second])) == 0
+        assert [r["experiment"] for r in read_records(first["runtime"]["out"])] \
+            == ["minami"]
+        lines = (tmp_path / "second.csv").read_text().splitlines()
+        assert lines[0].startswith("schema,experiment,")
+        assert len(lines) == 2 and ",ids," in lines[1]
+
+    def test_fault_keeps_earlier_records(self, tmp_path, monkeypatch, capsys):
+        run_experiment = cli.run_experiment
+
+        def second_faults(cfg):
+            if cfg["name"] == "ids":
+                raise NumericalFault("synthetic")
+            return run_experiment(cfg)
+        monkeypatch.setattr(cli, "run_experiment", second_faults)
+        raw = json.loads(json.dumps(MINAMI_CONFIG))
+        raw["experiment"] = {"name": "ids", "energy": 0.5, "samples": 30}
+        out = tmp_path / "result.jsonl"
+        path = write_config(tmp_path, [MINAMI_CONFIG, raw])
+        assert cli.run(path, {"out": str(out)}) == 3
+        assert [r["experiment"] for r in read_records(out)] == ["minami"]
 
     def test_out_dir_env_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
@@ -202,6 +297,18 @@ class TestDeterminism:
         out2 = tmp_path / "second.jsonl"
         assert cli.run(path2, {"out": str(out2)}) == 0
         assert self.strip_durations(out1) == self.strip_durations(out2)
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_integrate_and_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(randlat.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, randlat.cli; print([m for m in "
+                "('scipy.integrate', 'scipy.stats') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMain:

@@ -65,10 +65,6 @@ class TestBounds:
         with pytest.raises(ValueError):
             mc.mc_wegner_nlevel(cfg, (0.0, 1.0), 0)
 
-    def test_interval_energy(self):
-        z = mc.interval_energy((0.4, 0.6))
-        assert z == pytest.approx(0.5 + 0.1j)
-
 
 class TestMinorSumLinkage:
     def test_per_realization_identity(self):
@@ -169,9 +165,21 @@ class TestSpacing:
         assert stats.rate > 0
         assert np.isfinite(stats.ks_distance)
 
+    def test_estimated_rate_is_the_dos_estimate(self, monkeypatch):
+        cfg = make_config(sides=(40,), density=rl.Uniform(0.0, 15.0),
+                          samples=30, seed=23, workers=3)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(1) or eigvalsh(m))
+        stats = mc.spacing_experiment(cfg, 7.5, 30.0, dos_bandwidth=0.7)
+        assert len(calls) == cfg.samples  # one spectrum per realization
+        assert stats.rate == mc.estimate_dos(cfg, 7.5, 0.7).mean
+
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             mc.spacing_statistics([np.array([0.1])], 1.0, 0.0)
+        with pytest.raises(ValueError):
+            mc.spacing_statistics([np.array([0.1])], -1.0, 1.0)
 
 
 class TestFracMomentDecay:
