@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import lattice, montecarlo
-from .spectral import NumericalFault, _as_z, _check_subset
+from .spectral import NumericalFault, _as_z, _check_subset, check_exponent
 
 SCHEMA_TAG = "randlat-result/1"
 OUT_DIR_ENV = "RANDLAT_OUT_DIR"
@@ -56,21 +56,8 @@ def _parse_background(block: dict, path: str) -> lattice.BackgroundSpec:
             return lattice.PeriodicPotential(period=tuple(block["period"]),
                                              values=tuple(float(v) for v in block["values"]))
         if variant == "magnetic":
-            axis_phases = [float(p) for p in block.get("axis_phases", [])]
-            field = float(block.get("field", 0.0))
-
-            def phase(x, y):
-                # bond direction: +theta_k along axis k, Landau-gauge term
-                # field * x_0 on axis-1 bonds (2D uniform flux)
-                diff = np.asarray(y) - np.asarray(x)
-                axis = int(np.flatnonzero(diff)[0])
-                sign = float(diff[axis])
-                base = axis_phases[axis] if axis < len(axis_phases) else 0.0
-                if axis == 1:
-                    base = base + field * float(min(x[0], y[0]))
-                return sign * base
-
-            return lattice.Magnetic(phase=phase)
+            return lattice.Magnetic(phase=lattice.gauge_phase(
+                block.get("axis_phases", []), block.get("field", 0.0)))
         if variant == "decaying":
             radius = block.get("truncation_radius")
             return lattice.DecayingHopping(
@@ -229,7 +216,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "fracmoment": Experiment(
         {"energy": _ENERGY,
          "eps": (lambda v, box: montecarlo.check_positive("eps", float(v)), REQUIRED),
-         "s": (lambda v, box: montecarlo.check_exponent(float(v)), REQUIRED),
+         "s": (lambda v, box: check_exponent(float(v)), REQUIRED),
          "samples": _SAMPLES,
          "max_distance": (_max_distance, None)},
         _run_fracmoment),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .spectral import NumericalFault
+from .spectral import NumericalFault, imag_part
 
 
 class QuadratureError(NumericalFault):
@@ -29,12 +29,8 @@ class QuadratureSpec:
     tail_mass: float = 1e-12  # target Gaussian tail outside the truncation
 
 
-def _imag_part(m: np.ndarray) -> np.ndarray:
-    return (m - m.conj().T) / 2j
-
-
 def _require_positive_imag(m: np.ndarray, name: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(_imag_part(m))
+    w = np.linalg.eigvalsh(imag_part(m))
     if w.min() <= 0:
         raise ValueError(f"{name} must have positive-definite imaginary part "
                          f"(min eigenvalue {w.min()})")
@@ -58,7 +54,7 @@ def gauss_repr_check(m, spec: QuadratureSpec = QuadratureSpec(tolerance=1e-7)) -
     n = m.shape[0]
     if m.shape != (n, n) or n not in (1, 2):
         raise ValueError(f"need a 1x1 or 2x2 matrix, got shape {m.shape}")
-    a = -_imag_part(m)
+    a = -imag_part(m)
     w = np.linalg.eigvalsh(a)
     if w.min() <= 0:
         raise ValueError(f"-Im M must be positive definite (min eig {w.min()})")
@@ -174,7 +170,7 @@ def gv_lemma_check(a_mat) -> tuple[float, float]:
 
     def det_im_inv(v1: float, v2: float) -> float:
         g = np.linalg.inv(np.diag([v1, v2]) - a_mat)
-        return float(np.linalg.det(_imag_part(g)).real)
+        return float(np.linalg.det(imag_part(g)).real)
 
     inner_opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
 

@@ -99,6 +99,25 @@ class Magnetic:
     phase: Callable[[Sequence[int], Sequence[int]], float]
 
 
+def gauge_phase(axis_phases: Sequence[float] = (), field: float = 0.0
+                ) -> Callable[[Sequence[int], Sequence[int]], float]:
+    """Antisymmetric bond phase for ``Magnetic``: +theta_k along axis k
+    (0 past the given axes), plus the Landau-gauge term field * x_0 on
+    axis-1 bonds (a uniform 2D flux)."""
+    thetas = [float(p) for p in axis_phases]
+    field = float(field)
+
+    def phase(x, y):
+        diff = np.asarray(y) - np.asarray(x)
+        axis = int(np.flatnonzero(diff)[0])
+        base = thetas[axis] if axis < len(thetas) else 0.0
+        if axis == 1:
+            base = base + field * float(min(x[0], y[0]))
+        return float(diff[axis]) * base
+
+    return phase
+
+
 @dataclass(frozen=True)
 class DecayingHopping:
     """Hopping t(x, y) = amplitude * exp(-rate * |x - y|), zero diagonal,
@@ -134,7 +153,7 @@ def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
 
     if isinstance(spec, (Laplacian, PeriodicPotential)):
         h = np.zeros((n, n))
-        _fill_nn(h, coords, lambda x, y: 1.0)
+        h[_nn_bonds(box, coords)] = 1.0
         h = h + h.T
         if isinstance(spec, PeriodicPotential):
             h[np.diag_indices(n)] = _periodic_values(coords, spec)
@@ -151,7 +170,8 @@ def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
                 raise ModelError(f"phase not antisymmetric at bond {tuple(x)}-{tuple(y)}")
             return -np.exp(1j * a_xy)
 
-        _fill_nn(h, coords, hop)
+        i, j = _nn_bonds(box, coords)
+        h[i, j] = [hop(coords[a], coords[b]) for a, b in zip(i, j)]
         h = h + h.conj().T
         # diagonal counts all 2d neighbors of the infinite-lattice operator
         h[np.diag_indices(n)] = 2 * box.dimension
@@ -170,14 +190,13 @@ def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
     raise ModelError(f"unknown background spec {spec!r}")
 
 
-def _fill_nn(h: np.ndarray, coords: np.ndarray, hop) -> None:
-    """Fill the strict upper triangle on nearest-neighbor pairs."""
-    n = len(coords)
-    for i in range(n):
-        diff = np.abs(coords[i + 1:] - coords[i])
-        nn = np.flatnonzero((diff.sum(axis=1) == 1) & (diff.max(axis=1) == 1))
-        for j in nn:
-            h[i, i + 1 + j] = hop(coords[i], coords[i + 1 + j])
+def _nn_bonds(box: LatticeBox, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the nearest-neighbor pairs: along
+    axis k the lexicographic stride is s_{k+1} * ... * s_d, and the bond
+    (i, i + stride) exists wherever coordinate k of site i is < s_k - 1."""
+    strides = [int(np.prod(box.sides[k + 1:])) for k in range(box.dimension)]
+    lows = [np.flatnonzero(coords[:, k] < side - 1) for k, side in enumerate(box.sides)]
+    return np.concatenate(lows), np.concatenate([i + s for i, s in zip(lows, strides)])
 
 
 def _periodic_values(coords: np.ndarray, spec: PeriodicPotential) -> np.ndarray:

@@ -19,8 +19,9 @@ import numpy as np
 from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
                       LatticeBox, SeedRecord, build_background,
                       sample_potential)
-from .spectral import (NumericalFault, _as_z, det_im, green_block,
-                       sum_principal_minors)
+from .spectral import (NumericalFault, _as_z, check_exponent, count_in,
+                       det_im, green_block, green_columns, imag_part,
+                       spectrum, sum_principal_minors)
 
 _BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
 
@@ -66,12 +67,6 @@ def check_positive(name: str, value: float) -> float:
     if value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
-
-
-def check_exponent(s: float) -> float:
-    if not 0 < s < 1:
-        raise ValueError(f"s must be in (0, 1), got {s}")
-    return s
 
 
 def decay_reach(box: LatticeBox, max_distance: Optional[int]) -> int:
@@ -177,8 +172,7 @@ def mc_wegner_nlevel(config: McConfig, interval: tuple[float, float],
     length = b - a
 
     def kernel(sample: HamiltonianSample) -> float:
-        w = np.linalg.eigvalsh(sample.matrix)
-        return 1.0 if np.count_nonzero((w >= a) & (w < b)) >= n else 0.0
+        return 1.0 if count_in(spectrum(sample), a, b) >= n else 0.0
 
     vals = run_realizations(config, kernel)
     rho = config.model.density.sup_density
@@ -191,10 +185,7 @@ def minor_sum_linkage(sample: HamiltonianSample, z) -> tuple[float, float]:
     """Per-realization identity: the sum of 2x2 principal-minor
     determinants of Im R equals [(Tr Im R)^2 - Tr (Im R)^2]/2.
     Returns (minor_sum, trace_form)."""
-    zc = _as_z(z)
-    r = np.linalg.inv(sample.matrix.astype(complex)
-                      - zc * np.eye(sample.box.n_sites))
-    im_r = (r - r.conj().T) / 2j
+    im_r = imag_part(green_columns(sample, z, range(sample.box.n_sites)))
     minor_sum = sum_principal_minors(im_r, 2)
     tr = float(np.trace(im_r).real)
     tr_sq = float(np.trace(im_r @ im_r).real)
@@ -206,21 +197,21 @@ def minor_sum_linkage(sample: HamiltonianSample, z) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def estimate_ids(config: McConfig, energy: float) -> McEstimate:
-    """Mean of #{eigenvalues <= E} / |box| over realizations."""
+    """Mean of #{eigenvalues < E} / |box| over realizations."""
     vol = config.model.box.n_sites
 
     def kernel(sample: HamiltonianSample) -> float:
-        w = np.linalg.eigvalsh(sample.matrix)
-        return float(np.count_nonzero(w <= energy)) / vol
+        return float(count_in(spectrum(sample), -math.inf, energy)) / vol
 
     return _estimate(np.array(run_realizations(config, kernel)))
 
 
 def _dos_count(energy: float, bandwidth: float, vol: int) -> Callable[[np.ndarray], float]:
-    """Per-realization DOS estimate from its spectrum."""
+    """Per-realization DOS estimate from its spectrum: the count in
+    [E - h, E + h) over 2 h |box|."""
     check_positive("bandwidth", bandwidth)
     lo, hi = energy - bandwidth, energy + bandwidth
-    return lambda w: float(np.count_nonzero((w > lo) & (w <= hi))) / (2.0 * bandwidth * vol)
+    return lambda w: float(count_in(w, lo, hi)) / (2.0 * bandwidth * vol)
 
 
 def estimate_dos(config: McConfig, energy: float, bandwidth: float = 0.05) -> McEstimate:
@@ -229,7 +220,7 @@ def estimate_dos(config: McConfig, energy: float, bandwidth: float = 0.05) -> Mc
     the caller, not corrected here."""
     count = _dos_count(energy, bandwidth, config.model.box.n_sites)
     return _estimate(np.array(run_realizations(
-        config, lambda s: count(np.linalg.eigvalsh(s.matrix)))))
+        config, lambda s: count(spectrum(s)))))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +229,7 @@ def estimate_dos(config: McConfig, energy: float, bandwidth: float = 0.05) -> Mc
 
 def rescaled_points(sample: HamiltonianSample, energy: float) -> np.ndarray:
     """|box| * (E_j - E) for all eigenvalues E_j of the realization."""
-    w = np.linalg.eigvalsh(sample.matrix)
-    return sample.box.n_sites * (w - energy)
+    return sample.box.n_sites * (spectrum(sample) - energy)
 
 
 @dataclass(frozen=True)
@@ -321,9 +311,12 @@ def spacing_experiment(config: McConfig, energy: float, window: float,
     from the same spectra, as ``estimate_dos`` would, when not supplied)."""
     vol = config.model.box.n_sites
     count = _dos_count(energy, dos_bandwidth, vol) if rate is None else None
-    spectra = run_realizations(config, lambda s: np.linalg.eigvalsh(s.matrix))
+    spectra = run_realizations(config, spectrum)
     if count is not None:
         rate = _estimate(np.array([count(w) for w in spectra])).mean
+        if rate == 0:
+            raise NumericalFault(f"estimated rate is 0: no eigenvalue within {dos_bandwidth} of "
+                                 f"energy {energy}; widen dos_bandwidth or give rate")
     return spacing_statistics([vol * (w - energy) for w in spectra], window, rate)
 
 
@@ -361,12 +354,7 @@ def frac_moment_decay(config: McConfig, energy: float, eps: float, s: float,
     targets = [box.index_of((int(r),) + (0,) * (box.dimension - 1)) for r in dists]
 
     def kernel(sample: HamiltonianSample) -> np.ndarray:
-        mat = sample.matrix.astype(complex)
-        mat[np.diag_indices(box.n_sites)] -= zc
-        col = np.zeros(box.n_sites, dtype=complex)
-        col[origin] = 1.0
-        g_col = np.linalg.solve(mat, col)
-        return np.abs(g_col[targets]) ** s
+        return np.abs(green_columns(sample, zc, [origin])[targets, 0]) ** s
 
     moments = np.array(run_realizations(config, kernel))
     means = moments.mean(axis=0)

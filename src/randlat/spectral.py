@@ -1,7 +1,9 @@
 """Dense Hermitian spectral computations: eigendecompositions, resolvents,
 Green blocks, the rank-n perturbation (Krein) and Schur-complement
 identities, determinants of imaginary parts, and symmetric-function
-identities for sums of principal minors."""
+identities for sums of principal minors.  Every spectrum (``spectrum``),
+eigenvalue count in [a, b) (``count_in``) and solve with H - z
+(``green_columns``) of a realization goes through this module."""
 
 from __future__ import annotations
 
@@ -51,6 +53,12 @@ def _as_matrix(h) -> np.ndarray:
     return h.matrix if isinstance(h, HamiltonianSample) else np.asarray(h)
 
 
+def check_exponent(s: float) -> float:
+    if not 0 < s < 1:
+        raise ValueError(f"s must be in (0, 1), got {s}")
+    return s
+
+
 # ---------------------------------------------------------------------------
 # decomposition and resolvents
 # ---------------------------------------------------------------------------
@@ -76,17 +84,53 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
+def spectrum(h) -> np.ndarray:
+    """Ascending eigenvalues of a sample or matrix.  No Hermiticity check:
+    this is the per-realization hot path."""
+    return np.linalg.eigvalsh(_as_matrix(h))
+
+
+def count_in(w: np.ndarray, a: float, b: float) -> int:
+    """Number of values of ``w`` in the half-open interval [a, b), the
+    convention of a Sturm count #{w < b} - #{w < a}."""
+    return int(np.count_nonzero((w >= a) & (w < b)))
+
+
+def green_columns(h, z, sites: Sequence[int],
+                  potential: Optional[np.ndarray] = None) -> np.ndarray:
+    """Columns (H - z)^{-1} e_y for y in ``sites``, as an N x len(sites)
+    array.  When ``potential`` is given it is first removed from H on
+    ``sites`` (the reduced operator)."""
+    zc = _as_z(z)
+    mat = _as_matrix(h).astype(complex)
+    n = mat.shape[0]
+    idx = _check_subset(n, sites)
+    if potential is not None:
+        mat[idx, idx] -= np.asarray(potential, dtype=float)[list(idx)]
+    mat[np.diag_indices(n)] -= zc
+    cols = np.zeros((n, len(idx)), dtype=complex)
+    cols[idx, range(len(idx))] = 1.0
+    return np.linalg.solve(mat, cols)
+
+
 def resolvent(h, z) -> np.ndarray:
     """(H - z)^{-1} for Im z > 0."""
-    zc = _as_z(z)
     h = _as_matrix(h)
-    n = h.shape[0]
-    return np.linalg.solve(h.astype(complex) - zc * np.eye(n), np.eye(n, dtype=complex))
+    return green_columns(h, z, range(h.shape[0]))
 
 
 def imag_part(m: np.ndarray) -> np.ndarray:
     """Operator imaginary part (M - M*)/2i; a Hermitian matrix."""
     return (m - m.conj().T) / 2j
+
+
+def _log_det_positive(m: np.ndarray, name: str) -> float:
+    """log det of a Hermitian positive-definite matrix from its
+    eigenvalues; NumericalFault if one is below -POSITIVITY_TOL."""
+    w = np.linalg.eigvalsh(m)
+    if w.min() < -POSITIVITY_TOL:
+        raise NumericalFault(f"{name} has eigenvalue {w.min()}, expected positive")
+    return float(np.sum(np.log(np.maximum(w, np.finfo(float).tiny))))
 
 
 # ---------------------------------------------------------------------------
@@ -128,41 +172,28 @@ def green_block(h, z, indices: Sequence[int], flavor: str = "full",
         raise ValueError(f"unknown flavor {flavor!r}")
     if potential is None and isinstance(h, HamiltonianSample):
         potential = h.potential
-    mat = _as_matrix(h).astype(complex)
-    idx = _check_subset(mat.shape[0], indices)
-    if flavor == "reduced":
-        if potential is None:
-            raise ValueError("reduced flavor needs the potential vector")
-        mat = mat.copy()
-        mat[idx, idx] -= np.asarray(potential, dtype=float)[list(idx)]
-    mat[np.diag_indices(mat.shape[0])] -= zc
-    cols = np.zeros((mat.shape[0], len(idx)), dtype=complex)
-    cols[idx, range(len(idx))] = 1.0
-    sol = np.linalg.solve(mat, cols)
-    return GreenBlock(indices=idx, matrix=sol[list(idx), :], z=zc, flavor=flavor)
+    if flavor == "reduced" and potential is None:
+        raise ValueError("reduced flavor needs the potential vector")
+    cols = green_columns(h, zc, indices, potential if flavor == "reduced" else None)
+    idx = _check_subset(cols.shape[0], indices)
+    return GreenBlock(indices=idx, matrix=cols[list(idx), :], z=zc, flavor=flavor)
 
 
 def det_im(block: Union[GreenBlock, np.ndarray]) -> float:
     """det of the (positive definite) imaginary part of a Green block,
     computed from eigenvalues in log space."""
     m = block.matrix if isinstance(block, GreenBlock) else np.asarray(block)
-    w = np.linalg.eigvalsh(imag_part(m))
-    if w.min() < -POSITIVITY_TOL:
-        raise NumericalFault(
-            f"imaginary part has eigenvalue {w.min()}, expected positive")
-    w = np.maximum(w, np.finfo(float).tiny)
-    return float(np.exp(np.sum(np.log(w))))
+    return float(np.exp(_log_det_positive(imag_part(m), "imaginary part")))
 
 
 def krein_check(sample: HamiltonianSample, z, indices: Sequence[int]) -> float:
     """Spectral-norm residual of the rank-n perturbation identity
     g = (V_sub + g_reduced^{-1})^{-1}."""
     g = green_block(sample, z, indices, "full").matrix
-    gt = green_block(sample, z, indices, "reduced").matrix
-    idx = list(_check_subset(sample.box.n_sites, indices))
-    v_sub = np.diag(sample.potential[idx]).astype(complex)
+    gt = green_block(sample, z, indices, "reduced")
+    v_sub = np.diag(sample.potential[list(gt.indices)]).astype(complex)
     try:
-        rhs = np.linalg.inv(v_sub + np.linalg.inv(gt))
+        rhs = np.linalg.inv(v_sub + np.linalg.inv(gt.matrix))
     except np.linalg.LinAlgError as exc:
         raise NumericalFault(f"singular reduced block: {exc}") from exc
     return float(np.linalg.norm(g - rhs, 2))
@@ -172,17 +203,12 @@ def det_identity_check(sample: HamiltonianSample, z, indices: Sequence[int]) -> 
     """Relative residual of
     det Im g = det(-Im g_reduced^{-1}) / |det(V_sub + g_reduced^{-1})|^2."""
     lhs = det_im(green_block(sample, z, indices, "full"))
-    gt = green_block(sample, z, indices, "reduced").matrix
-    gt_inv = np.linalg.inv(gt)
-    idx = list(_check_subset(sample.box.n_sites, indices))
-    v_sub = np.diag(sample.potential[idx]).astype(complex)
-    w = np.linalg.eigvalsh(-imag_part(gt_inv))
-    if w.min() < -POSITIVITY_TOL:
-        raise NumericalFault(
-            f"-Im g_reduced^-1 has eigenvalue {w.min()}, expected positive")
-    w = np.maximum(w, np.finfo(float).tiny)
+    gt = green_block(sample, z, indices, "reduced")
+    gt_inv = np.linalg.inv(gt.matrix)
+    v_sub = np.diag(sample.potential[list(gt.indices)]).astype(complex)
+    log_num = _log_det_positive(-imag_part(gt_inv), "-Im g_reduced^-1")
     _, logabs = np.linalg.slogdet(v_sub + gt_inv)
-    rhs = float(np.exp(np.sum(np.log(w)) - 2.0 * logabs))
+    rhs = float(np.exp(log_num - 2.0 * logabs))
     return abs(lhs - rhs) / lhs
 
 
@@ -191,7 +217,6 @@ def schur_check(h, z, p_indices: Sequence[int]) -> float:
     Schur-complement inverse formula against the directly computed
     resolvent.  The P-block uses the effective operator
     PHP - PHQ (QHQ - z)^{-1} QHP."""
-    zc = _as_z(z)
     h = _check_hermitian(_as_matrix(h)).astype(complex)
     n = h.shape[0]
     p = list(_check_subset(n, p_indices))
@@ -202,10 +227,10 @@ def schur_check(h, z, p_indices: Sequence[int]) -> float:
     a = h[np.ix_(p, p)]
     b = h[np.ix_(p, q)]
     c = h[np.ix_(q, q)]
-    rq = np.linalg.inv(c - zc * np.eye(len(q)))
-    s_inv = np.linalg.inv(a - zc * np.eye(len(p)) - b @ rq @ b.conj().T)
+    rq = resolvent(c, z)
+    s_inv = resolvent(a - b @ rq @ b.conj().T, z)
 
-    r = resolvent(h, zc)
+    r = resolvent(h, z)
     residuals = [
         np.linalg.norm(r[np.ix_(p, p)] - s_inv, 2),
         np.linalg.norm(r[np.ix_(p, q)] + s_inv @ b @ rq, 2),
@@ -217,17 +242,9 @@ def schur_check(h, z, p_indices: Sequence[int]) -> float:
 
 def frac_moment(sample: HamiltonianSample, x: int, y: int, z, s: float) -> float:
     """|G(x, y; z)|^s for a fractional exponent 0 < s < 1."""
-    if not 0 < s < 1:
-        raise ValueError(f"s must be in (0, 1), got {s}")
-    zc = _as_z(z)
-    n = sample.box.n_sites
-    _check_subset(n, [x])
-    _check_subset(n, [y])
-    mat = sample.matrix.astype(complex)
-    mat[np.diag_indices(n)] -= zc
-    col = np.zeros(n, dtype=complex)
-    col[y] = 1.0
-    g_xy = np.linalg.solve(mat, col)[x]
+    check_exponent(s)
+    _check_subset(sample.box.n_sites, [x])
+    g_xy = green_columns(sample, z, [y])[x, 0]
     return float(abs(g_xy) ** s)
 
 
@@ -264,12 +281,8 @@ def sum_principal_minors(a, n: int) -> float:
     equal to e_n of its eigenvalues.  For sizes up to 14, a brute-force
     minor enumeration is cross-asserted against the Newton recursion."""
     a = _check_hermitian(_as_matrix(a))
-    big_n = a.shape[0]
-    if not 1 <= n <= big_n:
-        raise ValueError(f"need 1 <= n <= {big_n}, got {n}")
-    w = np.linalg.eigvalsh(a)
-    result = elementary_symmetric(w, n)
-    if big_n <= MINOR_BRUTE_FORCE_CAP:
+    result = elementary_symmetric(spectrum(a), n)  # checks 1 <= n <= N
+    if a.shape[0] <= MINOR_BRUTE_FORCE_CAP:
         brute = _brute_minor_sum(a, n)
         scale = max(abs(brute), abs(result), 1e-300)
         if abs(brute - result) / scale > 1e-9:
@@ -281,25 +294,19 @@ def sum_principal_minors(a, n: int) -> float:
 def count_eigenvalues(h, interval: tuple[float, float]) -> int:
     """Number of eigenvalues in the half-open interval [a, b)."""
     a, b = interval
-    if b <= a:
-        return 0
-    w = np.linalg.eigvalsh(_check_hermitian(_as_matrix(h)))
-    return int(np.count_nonzero((w >= a) & (w < b)))
+    return count_in(spectrum(_check_hermitian(_as_matrix(h))), a, b)
 
 
 def wedge_count_check(h, interval: tuple[float, float], n: int) -> bool:
     """Check that e_n of the spectral projection's 0/1 eigenvalues equals
     C(k, n) for k eigenvalues inside the interval (0 when k < n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     h = _check_hermitian(_as_matrix(h))
-    if n > h.shape[0]:
-        raise ValueError(f"n={n} exceeds dimension {h.shape[0]}")
     a, b = interval
     w, u = np.linalg.eigh(h)
-    inside = (w >= a) & (w < b)
-    k = int(np.count_nonzero(inside))
-    proj = u[:, inside] @ u[:, inside].conj().T
-    lhs = elementary_symmetric(np.linalg.eigvalsh(proj), n)
+    # w ascends, so the eigenvalues in [a, b) are the k after those below a
+    below, k = count_in(w, -math.inf, a), count_in(w, a, b)
+    inside = u[:, below:below + k]
+    proj = inside @ inside.conj().T
+    lhs = elementary_symmetric(spectrum(proj), n)  # checks 1 <= n <= N
     expected = float(math.comb(k, n)) if k >= n else 0.0
     return abs(lhs - expected) <= 1e-8 * max(1.0, expected)

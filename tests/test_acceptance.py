@@ -15,6 +15,7 @@ from randlat import cli
 from randlat import montecarlo as mc
 from randlat import spectral as sp
 from randlat.integrals import gv_lemma_check, identity_suite
+from randlat.lattice import gauge_phase
 
 from conftest import random_triple
 
@@ -24,15 +25,6 @@ def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
     line = f"[{tag}] criterion {num:2d} {name}: {detail}"
     print(line)
     assert passed, line
-
-
-def _axis_phase(theta: float):
-    def phase(x, y):
-        diff = np.asarray(y) - np.asarray(x)
-        axis = int(np.flatnonzero(diff)[0])
-        base = theta if axis == 0 else 0.0
-        return float(diff[axis]) * base
-    return phase
 
 
 def _mc_config(sides, density, samples, seed, background=rl.Laplacian(),
@@ -78,12 +70,13 @@ def test_criterion_02_fermionic_trace_oracle():
             f"max relative residual {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_03_minami_bound():
     z = 0.5 + 0.1j
     cases = [("n=1", [16]), ("n=2 adjacent", [15, 16]),
              ("n=2 separated", [3, 28])]
     backgrounds = [("laplacian", rl.Laplacian()),
-                   ("magnetic", rl.Magnetic(phase=_axis_phase(0.4)))]
+                   ("magnetic", rl.Magnetic(phase=gauge_phase([0.4])))]
     details, ok = [], True
     for bg_name, bg in backgrounds:
         cfg = _mc_config((32,), rl.Uniform(0.0, 1.0), 10_000, 303,
@@ -97,6 +90,7 @@ def test_criterion_03_minami_bound():
     _report(3, "Minami bound |L|=32 M=1e4", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_04_wegner_nlevel():
     cfg = _mc_config((10,), rl.Uniform(0.0, 1.0), 100_000, 404)
     interval = (0.495, 0.505)  # length 0.01 centered in-band
@@ -149,6 +143,7 @@ def test_criterion_06_dos_ids():
             f"band-center DOS {dos.mean:.4f} +- {dos.stderr:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_poisson_statistics():
     energy, window = 7.5, 60.0
     results = {}

@@ -209,6 +209,13 @@ class TestRun:
         assert cli.run(path) == 3
         assert "numerical fault: synthetic" in capsys.readouterr().err
 
+    def test_zero_estimated_dos_exit_three(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(MINAMI_CONFIG))
+        raw["experiment"] = {"name": "spacing", "energy": 0.5, "window": 1.0,
+                             "samples": 5}
+        assert cli.run(write_config(tmp_path, raw)) == 3
+        assert "dos_bandwidth" in capsys.readouterr().err
+
     def test_unwritable_output_exit_three(self, tmp_path, capsys):
         path = write_config(tmp_path, MINAMI_CONFIG)
         assert cli.run(path, {"out": str(tmp_path / "no/dir/out.jsonl")}) == 3

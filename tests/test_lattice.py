@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
-from conftest import axis_phase, background_variants
+from randlat.lattice import gauge_phase
+from conftest import background_variants
 
 
 class TestLatticeBox:
@@ -84,9 +85,20 @@ class TestBackground:
             h = rl.build_background(box, spec)
             assert np.max(np.abs(h - h.conj().T)) == 0.0
 
+    @pytest.mark.parametrize("sides", [(1,), (6,), (1, 1), (1, 4), (4, 1), (3, 5),
+                                       (1, 1, 1), (2, 3, 4), (3, 1, 2), (1, 4, 1)])
+    def test_hopping_exactly_on_unit_distance(self, sides):
+        box = rl.LatticeBox(sides)
+        coords = box.coordinates()
+        unit = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=-1) == 1
+        off_diagonal = ~np.eye(box.n_sites, dtype=bool)
+        for spec in background_variants(len(sides))[:3]:  # the nearest-neighbor families
+            h = rl.build_background(box, spec)
+            assert np.array_equal((h != 0) & off_diagonal, unit)
+
     def test_magnetic_modulus_matches_zero_phase(self):
         box = rl.LatticeBox((3, 3))
-        h_phase = rl.build_background(box, rl.Magnetic(phase=axis_phase([0.7, 1.3])))
+        h_phase = rl.build_background(box, rl.Magnetic(phase=gauge_phase([0.7, 1.3])))
         h_zero = rl.build_background(box, rl.Magnetic(phase=lambda x, y: 0.0))
         assert np.allclose(np.abs(h_phase), np.abs(h_zero))
 

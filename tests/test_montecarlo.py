@@ -175,6 +175,12 @@ class TestSpacing:
         assert len(calls) == cfg.samples  # one spectrum per realization
         assert stats.rate == mc.estimate_dos(cfg, 7.5, 0.7).mean
 
+    def test_zero_estimated_rate_is_a_numerical_fault(self):
+        # no eigenvalue within the default dos_bandwidth of 0.5 in 5 draws
+        cfg = make_config(samples=5)
+        with pytest.raises(rl.NumericalFault, match="dos_bandwidth"):
+            mc.spacing_experiment(cfg, 0.5, 1.0)
+
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             mc.spacing_statistics([np.array([0.1])], 1.0, 0.0)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
-from randlat.spectral import elementary_symmetric, imag_part
-from conftest import random_triple
+from randlat.spectral import (count_in, elementary_symmetric, green_columns,
+                              imag_part, spectrum)
+from conftest import background_variants, random_box, random_triple
 
 
 def random_hermitian(rng, n, complex_entries=True):
@@ -233,6 +234,9 @@ class TestCounting:
         total = sum(rl.count_eigenvalues(h, (a, b))
                     for a, b in zip(edges, edges[1:]))
         assert total == 3
+        # IDS counts [-inf, E), DOS [E - h, E + h), with the same primitive
+        assert count_in(np.diag(h), -math.inf, 1.0) == 1
+        assert count_in(np.diag(h), 1.0, 2.0) == 1
 
 
 class TestWedgeCount:
@@ -270,6 +274,35 @@ class TestFracMoment:
         assert rl.frac_moment(sample, 0, 3, 1j, 0.3) >= 0
         with pytest.raises(ValueError):
             rl.frac_moment(sample, 0, 3, 1j, 1.5)
+
+
+class TestSpectrumGreenLink:
+    """The eigenvalue path and the Green-column path see one operator."""
+
+    def test_trace_of_green_columns_matches_spectrum(self):
+        # Im Tr (H - E - i eps)^{-1} = sum_j eps / ((E_j - E)^2 + eps^2)
+        local = np.random.default_rng(6160)
+        for _ in range(15):
+            box = random_box(local, max_side=5)
+            for spec in background_variants(box.dimension):
+                sample = rl.assemble(box, spec, rl.Uniform(-1.0, 1.0),
+                                     (int(local.integers(0, 2 ** 31)), 0))
+                energy, eps = local.uniform(-2, 2), local.uniform(0.05, 2.0)
+                g = green_columns(sample, complex(energy, eps), range(box.n_sites))
+                w = spectrum(sample)
+                expected = np.sum(eps / ((w - energy) ** 2 + eps ** 2))
+                assert np.trace(g).imag == pytest.approx(expected, rel=1e-9)
+
+    def test_constant_potential_shifts_spectrum(self):
+        local = np.random.default_rng(6161)
+        for _ in range(15):
+            box = random_box(local, max_side=5)
+            c = local.uniform(-3, 3)
+            for spec in background_variants(box.dimension):
+                v = local.uniform(-1, 1, size=box.n_sites)
+                w = spectrum(rl.assemble_fixed(box, spec, v))
+                shifted = spectrum(rl.assemble_fixed(box, spec, v + c))
+                assert np.allclose(shifted, w + c, rtol=0, atol=1e-10)
 
 
 class TestIdentitySweep:
