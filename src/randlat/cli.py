@@ -30,8 +30,11 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: every block is parsed from a table of its parameters
 # ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a parameter that the config must give
+
 
 def _require_keys(block: dict, path: str, required: set, optional: set = frozenset()):
     if not isinstance(block, dict):
@@ -44,91 +47,139 @@ def _require_keys(block: dict, path: str, required: set, optional: set = frozens
         raise ConfigError(f"{path}.{sorted(missing)[0]}: missing required key")
 
 
-def _parse_background(block: dict, path: str) -> lattice.BackgroundSpec:
-    _require_keys(block, path, {"variant"},
-                  {"period", "values", "axis_phases", "field",
-                   "amplitude", "rate", "truncation_radius"})
-    variant = block["variant"]
-    try:
-        if variant == "laplacian":
-            return lattice.Laplacian()
-        if variant == "periodic":
-            return lattice.PeriodicPotential(period=tuple(block["period"]),
-                                             values=tuple(float(v) for v in block["values"]))
-        if variant == "magnetic":
-            return lattice.Magnetic(phase=lattice.gauge_phase(
-                block.get("axis_phases", []), block.get("field", 0.0)))
-        if variant == "decaying":
-            radius = block.get("truncation_radius")
-            return lattice.DecayingHopping(
-                amplitude=float(block["amplitude"]), rate=float(block["rate"]),
-                truncation_radius=None if radius is None else float(radius))
-        if variant == "none":
-            return None  # diagonal-only test hook
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
+def _parse_block(block: dict, path: str, params: dict[str, tuple[Callable, Any]],
+                 box: Optional[lattice.LatticeBox] = None) -> dict:
+    """Check ``block``'s keys against ``params``, which maps each key to
+    ``(check, default)``, and return ``{key: check(block.get(key, default), box)}``.
+    A check raises ValueError/TypeError on a bad value, reported here at
+    ``path.<key>``; one that parses a nested block raises ConfigError with
+    the path below ``key``."""
+    required = {key for key, (_, default) in params.items() if default is REQUIRED}
+    _require_keys(block, path, required, set(params) - required)
+    values = {}
+    for key, (check, default) in params.items():
+        try:
+            values[key] = check(block.get(key, default), box)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{key}{exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.{key}: {exc}") from exc
+    return values
 
 
-def _parse_density(block: dict, path: str) -> lattice.DisorderDensity:
-    _require_keys(block, path, {"variant"}, {"lo", "hi", "breakpoints", "weights"})
-    variant = block["variant"]
-    try:
-        if variant == "uniform":
-            return lattice.Uniform(lo=float(block["lo"]), hi=float(block["hi"]))
-        if variant == "piecewise":
-            return lattice.PiecewiseConstant(
-                breakpoints=tuple(float(b) for b in block["breakpoints"]),
-                weights=tuple(float(w) for w in block["weights"]))
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
+def _merged(block: dict, path: str, overrides: dict) -> dict:
+    """A copy of ``block`` with the overrides that are not None applied."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: expected an object")
+    return {**block, **{key: value for key, value in overrides.items() if value is not None}}
+
+
+def _choice(value, names):
+    if not isinstance(value, str) or value not in names:
+        raise ValueError(f"must be one of {', '.join(names)}; got {value!r}")
+    return value
+
+
+def _select(block: dict, path: str, key: str, table: dict) -> tuple[str, dict]:
+    """``block[key]``, which must name an entry of ``table``, and the rest of the block."""
+    rest = _merged(block, path, {})
+    given = {key: rest.pop(key)} if key in rest else {}
+    return _parse_block(given, path, {key: (lambda v, box: _choice(v, table), REQUIRED)})[key], rest
+
+
+def _parse_variant(block: dict, table: dict, box: lattice.LatticeBox):
+    """A nested block whose ``variant`` names an entry ``(constructor, params)``
+    of ``table``; ``params`` checks the other keys, and the constructor the
+    rules that span keys.  Error paths are relative to the block."""
+    name, rest = _select(block, "", "variant", table)
+    make, params = table[name]
+    return make(**_parse_block(rest, "", params, box))
+
+
+def _integer(value) -> int:
+    """``value`` as an int: an integral number such as 1e5 is one; a bool or 2.7 is not."""
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value, box) -> int:
+    return np.random.SeedSequence(_integer(value)).entropy  # rejects negative seeds
+
+
+def _count(name: str, least: int = 1) -> Callable:
+    return lambda value, box: montecarlo.check_count(name, _integer(value), least)
+
+
+def _out(value, box) -> Optional[str]:
+    if value is not None and not isinstance(value, str):  # open() takes an int as a file descriptor
+        raise TypeError(f"expected a path string, got {value!r}")
+    return value
+
+
+def _dimension(value, box):
+    if value is not None and value != box.dimension:
+        raise ValueError(f"{value!r} does not match len(sides) = {box.dimension}")
+    return value
+
+
+_FLOAT = (lambda v, box: float(v), REQUIRED)
+_FLOATS = (lambda v, box: tuple(float(x) for x in v), REQUIRED)
+
+RUNTIME = {"seed": (_seed, 0), "workers": (_count("workers"), 1), "out": (_out, None),
+           "format": (lambda v, box: _choice(v, ("json-lines", "csv")), "json-lines")}
+
+# each variant of a model block: (constructor, params)
+BACKGROUNDS: dict[str, tuple[Callable, dict]] = {
+    "laplacian": (lattice.Laplacian, {}),
+    "periodic": (lattice.PeriodicPotential,
+                 {"period": (lambda v, box: lattice.check_on_box("period", tuple(v), box),
+                             REQUIRED),
+                  "values": _FLOATS}),
+    "magnetic": (lattice.Magnetic,
+                 {"axis_phases": (lambda v, box: lattice.check_on_box(
+                     "axis_phases", tuple(float(p) for p in v), box), ()),
+                  "field": (lambda v, box: lattice.check_on_box("field", float(v), box), 0.0)}),
+    "decaying": (lattice.DecayingHopping,
+                 {"amplitude": _FLOAT, "rate": _FLOAT,
+                  "truncation_radius": (lambda v, box: None if v is None else float(v), None)}),
+    "none": (lambda: None, {}),  # diagonal-only test hook
+}
+
+DENSITIES: dict[str, tuple[Callable, dict]] = {
+    "uniform": (lattice.Uniform, {"lo": _FLOAT, "hi": _FLOAT}),
+    "piecewise": (lattice.PiecewiseConstant, {"breakpoints": _FLOATS, "weights": _FLOATS}),
+}
+
+MODEL = {"sides": (lambda v, box: lattice.LatticeBox(sides=tuple(v)), REQUIRED),
+         "dimension": (_dimension, None),
+         "background": (lambda v, box: _parse_variant(v, BACKGROUNDS, box), REQUIRED),
+         "density": (lambda v, box: _parse_variant(v, DENSITIES, box), REQUIRED)}
 
 
 def _parse_model(block: dict, path: str) -> montecarlo.ModelSpec:
-    _require_keys(block, path, {"sides", "background", "density"}, {"dimension"})
-    try:
-        box = lattice.LatticeBox(sides=tuple(block["sides"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.sides: {exc}") from exc
-    if "dimension" in block and block["dimension"] != box.dimension:
-        raise ConfigError(f"{path}.dimension: does not match len(sides)")
-    return montecarlo.ModelSpec(
-        box=box,
-        background=_parse_background(block["background"], f"{path}.background"),
-        density=_parse_density(block["density"], f"{path}.density"))
+    # the first pass checks the keys and builds the box that the second checks against
+    unchecked = {key: (lambda v, box: v, default) for key, (_, default) in MODEL.items()}
+    box = _parse_block(block, path, {**unchecked, "sides": MODEL["sides"]})["sides"]
+    model = _parse_block(block, path, MODEL, box)
+    return montecarlo.ModelSpec(box=box, background=model["background"],
+                                density=model["density"])
 
 
 # ---------------------------------------------------------------------------
 # experiment registry
 # ---------------------------------------------------------------------------
 
-REQUIRED = object()  # the default of a parameter that the config must give
-
-
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment.  ``params`` maps each key of the config's
-    experiment block to ``(check, default)``: ``check(value, box)``
-    returns the value the runner gets, or raises ValueError/TypeError.
-    Defaults are checked too.  ``run(params, mc_config)`` returns the
+    """One experiment.  ``params`` is the experiment block's parameter
+    table (see ``_parse_block``).  ``run(params, mc_config)`` returns the
     records' own fields; ``mc_config`` is None when no model is needed."""
 
     params: dict[str, tuple[Callable, Any]]
     run: Callable[[dict, Optional[montecarlo.McConfig]], list[dict]]
     needs_model: bool = True
-
-
-def _seed(value, box) -> int:
-    return np.random.SeedSequence(int(value)).entropy  # rejects negative seeds
-
-
-def _count(name: str) -> Callable:
-    return lambda value, box: montecarlo.check_count(name, int(value))
 
 
 def _z(value, box) -> complex:
@@ -179,7 +230,6 @@ def _run_identities(p: dict, config) -> list[dict]:
                                     sweep_seed=p["sweep_seed"])
 
 
-_ENERGY = (lambda v, box: float(v), REQUIRED)
 _SAMPLES = (_count("samples"), REQUIRED)
 _BANDWIDTH = (lambda v, box: montecarlo.check_positive("bandwidth", float(v)), 0.05)
 
@@ -197,16 +247,16 @@ EXPERIMENTS: dict[str, Experiment] = {
         lambda p, mc: _bound_fields(
             montecarlo.mc_wegner_nlevel(mc, p["interval"], p["n"]))),
     "ids": Experiment(
-        {"energy": _ENERGY, "samples": _SAMPLES},
+        {"energy": _FLOAT, "samples": _SAMPLES},
         lambda p, mc: [{"energy": p["energy"], **_estimate_fields(
             montecarlo.estimate_ids(mc, p["energy"]))}]),
     "dos": Experiment(
-        {"energy": _ENERGY, "samples": _SAMPLES, "bandwidth": _BANDWIDTH},
+        {"energy": _FLOAT, "samples": _SAMPLES, "bandwidth": _BANDWIDTH},
         lambda p, mc: [{"energy": p["energy"], "bandwidth": p["bandwidth"],
                         **_estimate_fields(montecarlo.estimate_dos(
                             mc, p["energy"], p["bandwidth"]))}]),
     "spacing": Experiment(
-        {"energy": _ENERGY,
+        {"energy": _FLOAT,
          "window": (lambda v, box: montecarlo.check_positive("window", float(v)), REQUIRED),
          "samples": _SAMPLES,
          "rate": (lambda v, box: v if v is None else montecarlo.check_positive("rate", v),
@@ -214,24 +264,16 @@ EXPERIMENTS: dict[str, Experiment] = {
          "dos_bandwidth": _BANDWIDTH},
         _run_spacing),
     "fracmoment": Experiment(
-        {"energy": _ENERGY,
+        {"energy": _FLOAT,
          "eps": (lambda v, box: montecarlo.check_positive("eps", float(v)), REQUIRED),
          "s": (lambda v, box: check_exponent(float(v)), REQUIRED),
          "samples": _SAMPLES,
          "max_distance": (_max_distance, None)},
         _run_fracmoment),
     "identities": Experiment(
-        {"sweep_draws": (lambda v, box: int(v), 25), "sweep_seed": (_seed, 0)},
+        {"sweep_draws": (_count("sweep_draws", least=0), 25), "sweep_seed": (_seed, 0)},
         _run_identities, needs_model=False),
 }
-
-
-def _checked(path: str, check: Callable, value: Any, box: Optional[lattice.LatticeBox]):
-    """``check(value, box)``, reporting a bad value as a ConfigError at ``path``."""
-    try:
-        return check(value, box)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(raw: dict, overrides: Optional[dict] = None) -> dict:
@@ -239,48 +281,21 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> dict:
     flag overrides applied.  Raises ConfigError with a field path."""
     overrides = overrides or {}
     _require_keys(raw, "config", {"experiment"}, {"model", "runtime"})
-    if not isinstance(raw["experiment"], dict):
-        raise ConfigError("config.experiment: expected an object")
-    exp = dict(raw["experiment"])
-    if "name" not in exp:
-        raise ConfigError("config.experiment.name: missing required key")
-    name = exp.pop("name")
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"config.experiment.name: unknown experiment {name!r}")
+    exp = _merged(raw["experiment"], "config.experiment",
+                  {"name": overrides.get("experiment"), "samples": overrides.get("samples")})
+    name, exp = _select(exp, "config.experiment", "name", EXPERIMENTS)
     entry = EXPERIMENTS[name]
-    if overrides.get("samples") is not None:
-        exp["samples"] = overrides["samples"]
-    required = {key for key, (_, default) in entry.params.items() if default is REQUIRED}
-    _require_keys(exp, "config.experiment", required, set(entry.params) - required)
-
-    _require_keys(raw.get("runtime", {}), "config.runtime", set(),
-                  {"seed", "workers", "out", "format"})
-    runtime = dict(raw.get("runtime", {}))
-    for key in ("seed", "workers", "out", "format"):
-        if overrides.get(key) is not None:
-            runtime[key] = overrides[key]
-    runtime.setdefault("seed", 0)
-    runtime.setdefault("workers", 1)
-    runtime.setdefault("format", "json-lines")
-    if runtime["format"] not in ("json-lines", "csv"):
-        raise ConfigError(f"config.runtime.format: unknown format {runtime['format']!r}")
-    if not isinstance(runtime.get("out", ""), str):  # open() would take an int as a file descriptor
-        raise ConfigError("config.runtime.out: expected a path string")
-    _checked("config.runtime.seed", _seed, runtime["seed"], None)
-    _checked("config.runtime.workers", _count("workers"), runtime["workers"], None)
-
+    runtime = _parse_block(_merged(raw.get("runtime", {}), "config.runtime",
+                                   {key: overrides.get(key) for key in RUNTIME}),
+                           "config.runtime", RUNTIME)
     model = None
     if entry.needs_model:
-        if "model" not in raw:
-            raise ConfigError("config.model: missing required key")
+        _require_keys(raw, "config", {"model"}, set(raw))
         model = _parse_model(raw["model"], "config.model")
-    box = None if model is None else model.box
-    params = {key: _checked(f"config.experiment.{key}", check, exp.get(key, default), box)
-              for key, (check, default) in entry.params.items()}
-
+    params = _parse_block(exp, "config.experiment", entry.params,
+                          None if model is None else model.box)
     return {"name": name, "experiment": exp, "params": params,
-            "runtime": runtime, "model": model, "model_raw": raw.get("model"),
-            "raw": raw}
+            "runtime": runtime, "model": model, "model_raw": raw.get("model")}
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +325,8 @@ def run_experiment(cfg: dict) -> list[dict]:
     if entry.needs_model:
         config = montecarlo.McConfig(model=cfg["model"],
                                      samples=cfg["params"]["samples"],
-                                     master_seed=int(runtime["seed"]),
-                                     workers=int(runtime["workers"]))
+                                     master_seed=runtime["seed"],
+                                     workers=runtime["workers"])
         tail = {"seed": runtime["seed"]}
     return [{**head, **fields, **tail} for fields in entry.run(cfg["params"], config)]
 
@@ -388,7 +403,7 @@ def emit(records: list[dict], destination, fmt: str = "json-lines") -> None:
                    for k, v in flat.items()}
             writer.writerow(row)
         return
-    raise ConfigError(f"config.runtime.format: unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:
@@ -413,13 +428,9 @@ def run(config_path: Optional[str], overrides: Optional[dict] = None) -> int:
             with open(config_path) as fh:
                 raw = json.load(fh)
         elif overrides.get("experiment"):
-            raw = {"experiment": {"name": overrides["experiment"]}}
+            raw = {"experiment": {}}  # parse_config fills in the name
         else:
             raise ConfigError("config: no config file or --experiment given")
-        if overrides.get("experiment"):
-            raw = dict(raw)
-            raw["experiment"] = dict(raw.get("experiment", {}),
-                                     name=overrides["experiment"])
         raw_list = raw if isinstance(raw, list) else [raw]
         configs = [parse_config(item, overrides) for item in raw_list]
     except (ConfigError, json.JSONDecodeError, OSError) as exc:

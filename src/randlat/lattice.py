@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -94,28 +94,13 @@ class PeriodicPotential:
 @dataclass(frozen=True)
 class Magnetic:
     """Discrete magnetic Schrodinger operator: diagonal 2d, off-diagonal
-    -exp(i A(x, y)) on nearest-neighbor pairs, with A(x, y) = -A(y, x)."""
+    -exp(i A(x, y)) on nearest-neighbor pairs.  The gauge is data: the bond
+    x -> x + e_k carries A = theta_k (``axis_phases[k]``, 0 past the given
+    axes), plus the Landau-gauge term ``field`` * x_0 on axis-1 bonds (a
+    uniform 2D flux); A(x + e_k, x) = -A(x, x + e_k)."""
 
-    phase: Callable[[Sequence[int], Sequence[int]], float]
-
-
-def gauge_phase(axis_phases: Sequence[float] = (), field: float = 0.0
-                ) -> Callable[[Sequence[int], Sequence[int]], float]:
-    """Antisymmetric bond phase for ``Magnetic``: +theta_k along axis k
-    (0 past the given axes), plus the Landau-gauge term field * x_0 on
-    axis-1 bonds (a uniform 2D flux)."""
-    thetas = [float(p) for p in axis_phases]
-    field = float(field)
-
-    def phase(x, y):
-        diff = np.asarray(y) - np.asarray(x)
-        axis = int(np.flatnonzero(diff)[0])
-        base = thetas[axis] if axis < len(thetas) else 0.0
-        if axis == 1:
-            base = base + field * float(min(x[0], y[0]))
-        return float(diff[axis]) * base
-
-    return phase
+    axis_phases: tuple[float, ...] = ()
+    field: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,20 @@ class DecayingHopping:
 
 BackgroundSpec = Union[Laplacian, PeriodicPotential, Magnetic, DecayingHopping, None]
 
-_PHASE_ANTISYM_TOL = 1e-12
+
+# The rules that tie a background's parameters to the box's dimension d, by
+# parameter name (the spec's field and the config key): (rule(value, d), what it asks)
+_BOX_RULES = {"period": (lambda period, d: len(period) == d, "one entry per axis"),
+              "axis_phases": (lambda phases, d: len(phases) <= d, "at most one entry per axis"),
+              "field": (lambda field, d: field == 0 or d >= 2, "d >= 2 if non-zero")}
+
+
+def check_on_box(key: str, value, box: LatticeBox):
+    """``value`` of background parameter ``key``, if it meets its rule on ``box``."""
+    rule, asks = _BOX_RULES[key]
+    if not rule(value, box.dimension):
+        raise ModelError(f"{key} {value!r} needs {asks}; the box is {box.dimension}D")
+    return value
 
 
 def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
@@ -150,29 +148,27 @@ def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
     coords = box.coordinates()
     if spec is None:
         return np.zeros((n, n))
+    for key in _BOX_RULES:
+        if hasattr(spec, key):
+            check_on_box(key, getattr(spec, key), box)
 
     if isinstance(spec, (Laplacian, PeriodicPotential)):
         h = np.zeros((n, n))
-        h[_nn_bonds(box, coords)] = 1.0
+        for i, j in _nn_bonds(box, coords):
+            h[i, j] = 1.0
         h = h + h.T
         if isinstance(spec, PeriodicPotential):
             h[np.diag_indices(n)] = _periodic_values(coords, spec)
         return h
 
     if isinstance(spec, Magnetic):
+        thetas = np.zeros(box.dimension)
+        thetas[:len(spec.axis_phases)] = spec.axis_phases
         h = np.zeros((n, n), dtype=complex)
-
-        def hop(x, y):
-            a_xy = float(spec.phase(x, y))
-            a_yx = float(spec.phase(y, x))
-            if abs((a_xy + a_yx) % (2 * np.pi)) > _PHASE_ANTISYM_TOL \
-                    and abs((a_xy + a_yx) % (2 * np.pi) - 2 * np.pi) > _PHASE_ANTISYM_TOL:
-                raise ModelError(f"phase not antisymmetric at bond {tuple(x)}-{tuple(y)}")
-            return -np.exp(1j * a_xy)
-
-        i, j = _nn_bonds(box, coords)
-        h[i, j] = [hop(coords[a], coords[b]) for a, b in zip(i, j)]
-        h = h + h.conj().T
+        for k, (i, j) in enumerate(_nn_bonds(box, coords)):
+            phase = thetas[k] + spec.field * coords[i, 0] if k == 1 else thetas[k]
+            h[i, j] = -np.exp(1j * phase)
+        h = h + h.conj().T  # the lower triangle carries -A: antisymmetric by construction
         # diagonal counts all 2d neighbors of the infinite-lattice operator
         h[np.diag_indices(n)] = 2 * box.dimension
         return h
@@ -190,13 +186,13 @@ def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
     raise ModelError(f"unknown background spec {spec!r}")
 
 
-def _nn_bonds(box: LatticeBox, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), i < j, of the nearest-neighbor pairs: along
-    axis k the lexicographic stride is s_{k+1} * ... * s_d, and the bond
+def _nn_bonds(box: LatticeBox, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis k, index arrays (i, j), i < j, of the nearest-neighbor pairs
+    along k: the lexicographic stride is s_{k+1} * ... * s_d, and the bond
     (i, i + stride) exists wherever coordinate k of site i is < s_k - 1."""
     strides = [int(np.prod(box.sides[k + 1:])) for k in range(box.dimension)]
     lows = [np.flatnonzero(coords[:, k] < side - 1) for k, side in enumerate(box.sides)]
-    return np.concatenate(lows), np.concatenate([i + s for i, s in zip(lows, strides)])
+    return [(i, i + s) for i, s in zip(lows, strides)]
 
 
 def _periodic_values(coords: np.ndarray, spec: PeriodicPotential) -> np.ndarray:
@@ -227,10 +223,6 @@ class Uniform:
     @property
     def sup_density(self) -> float:
         return 1.0 / (self.hi - self.lo)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * u
@@ -263,10 +255,6 @@ class PiecewiseConstant:
     @property
     def sup_density(self) -> float:
         return float(max(self.weights))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.breakpoints[0], self.breakpoints[-1])
 
     def _cdf_knots(self) -> np.ndarray:
         b = np.asarray(self.breakpoints, dtype=float)

@@ -49,9 +49,9 @@ class McConfig:
 # parameter checks, shared by the experiments below and by config parsing
 # ---------------------------------------------------------------------------
 
-def check_count(name: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+def check_count(name: str, value: int, least: int = 1) -> int:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 

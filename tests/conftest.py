@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import randlat as rl
-from randlat.lattice import gauge_phase
 
 
 def background_variants(dimension):
@@ -11,7 +10,7 @@ def background_variants(dimension):
         rl.Laplacian(),
         rl.PeriodicPotential(period=(2,) * dimension,
                              values=tuple(0.3 * k for k in range(2 ** dimension))),
-        rl.Magnetic(phase=gauge_phase([0.9] * dimension)),
+        rl.Magnetic(axis_phases=(0.9,) * dimension),
         rl.DecayingHopping(amplitude=1.0, rate=1.2),
     ]
 

@@ -15,7 +15,6 @@ from randlat import cli
 from randlat import montecarlo as mc
 from randlat import spectral as sp
 from randlat.integrals import gv_lemma_check, identity_suite
-from randlat.lattice import gauge_phase
 
 from conftest import random_triple
 
@@ -76,7 +75,7 @@ def test_criterion_03_minami_bound():
     cases = [("n=1", [16]), ("n=2 adjacent", [15, 16]),
              ("n=2 separated", [3, 28])]
     backgrounds = [("laplacian", rl.Laplacian()),
-                   ("magnetic", rl.Magnetic(phase=gauge_phase([0.4])))]
+                   ("magnetic", rl.Magnetic(axis_phases=(0.4,)))]
     details, ok = [], True
     for bg_name, bg in backgrounds:
         cfg = _mc_config((32,), rl.Uniform(0.0, 1.0), 10_000, 303,

@@ -1,3 +1,4 @@
+import glob
 import io
 import json
 import math
@@ -34,6 +35,20 @@ def fracmoment(**changes):
                              "s": 0.5, "samples": 10, **changes})
 
 
+def shipped_config_items():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
+        with open(path) as fh:
+            raw = json.load(fh)
+        for k, item in enumerate(raw if isinstance(raw, list) else [raw]):
+            yield pytest.param(item, id=f"{os.path.basename(path)}[{k}]")
+
+
+def set_background(sides, **background):
+    """A config mutation that replaces the box and the background block."""
+    return lambda raw: raw["model"].update(sides=sides, background=background)
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -55,7 +70,7 @@ class TestParseConfig:
     def test_defaults(self):
         raw = {k: v for k, v in MINAMI_CONFIG.items() if k != "runtime"}
         cfg = cli.parse_config(raw)
-        assert cfg["runtime"] == {"seed": 0, "workers": 1,
+        assert cfg["runtime"] == {"seed": 0, "workers": 1, "out": None,
                                   "format": "json-lines"}
 
     def test_overrides_take_precedence(self):
@@ -120,12 +135,41 @@ class TestParseConfig:
                      "config.model.background", id="periodic-values-string"),
         pytest.param(lambda r: r["runtime"].update(out=1),
                      "config.runtime.out", id="out-int"),
+        pytest.param(set_background([4, 4], variant="periodic", period=[2],
+                                    values=[0.5, -0.5]),
+                     "config.model.background.period", id="period-short"),
+        pytest.param(set_background([4], variant="periodic", period=[2, 2],
+                                    values=[1, 2, 3, 4]),
+                     "config.model.background.period", id="period-long"),
+        pytest.param(set_background([6], variant="magnetic", axis_phases=[0.3, 0.7]),
+                     "config.model.background.axis_phases", id="axis-phases-past-box"),
+        pytest.param(set_background([6], variant="magnetic", field=0.5),
+                     "config.model.background.field", id="field-on-1d-box"),
+        pytest.param(lambda r: r["experiment"].update(samples=2.7),
+                     "config.experiment.samples", id="samples-fractional"),
+        pytest.param(lambda r: r["experiment"].update(samples=True),
+                     "config.experiment.samples", id="samples-bool"),
+        pytest.param(lambda r: r["runtime"].update(seed=3.7),
+                     "config.runtime.seed", id="seed-fractional"),
+        pytest.param(set_experiment(name="identities", sweep_draws=-3),
+                     "config.experiment.sweep_draws", id="sweep-draws-negative"),
     ])
     def test_error_messages_carry_field_paths(self, mutate, fragment):
         raw = json.loads(json.dumps(MINAMI_CONFIG))
         mutate(raw)
         with pytest.raises(cli.ConfigError, match=fragment.replace(".", r"\.")):
             cli.parse_config(raw)
+
+    def test_integral_float_counts_accepted(self):
+        raw = json.loads(json.dumps(MINAMI_CONFIG))
+        raw["experiment"]["samples"] = 1e5
+        raw["runtime"]["seed"] = 7.0
+        cfg = cli.parse_config(raw)
+        assert cfg["params"]["samples"] == 100000 and cfg["runtime"]["seed"] == 7
+
+    @pytest.mark.parametrize("raw", shipped_config_items())
+    def test_accepts_shipped_configs(self, raw):
+        cli.parse_config(raw)
 
     def test_identities_needs_no_model(self):
         cfg = cli.parse_config({"experiment": {"name": "identities"}})
@@ -336,6 +380,18 @@ class TestMain:
         assert all(r["verdict"] == "PASS" for r in records)
         assert {r["check"] for r in records} >= {"gauss_repr", "gv_line",
                                                  "gv_quadratic", "gv_lemma_n1"}
+
+    def test_experiment_flag_on_config_list(self, tmp_path):
+        first = json.loads(json.dumps(MINAMI_CONFIG))
+        first["experiment"] = {"name": "dos", "energy": 0.5, "samples": 20}
+        second = json.loads(json.dumps(MINAMI_CONFIG))
+        second["experiment"] = {"name": "ids", "energy": 0.3, "samples": 20}
+        out = tmp_path / "list.jsonl"
+        assert cli.main(["run", "--config", write_config(tmp_path, [first, second]),
+                         "--experiment", "ids", "--out", str(out)]) == 0
+        records = read_records(out)
+        assert [r["experiment"] for r in records] == ["ids", "ids"]
+        assert [r["energy"] for r in records] == [0.5, 0.3]
 
     def test_identities_subcommand_csv(self, tmp_path):
         out = tmp_path / "ident.csv"

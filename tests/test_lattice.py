@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
-from randlat.lattice import gauge_phase
 from conftest import background_variants
 
 
@@ -35,7 +34,7 @@ class TestBackground:
         assert np.array_equal(h, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_magnetic_zero_phase_two_sites(self):
-        spec = rl.Magnetic(phase=lambda x, y: 0.0)
+        spec = rl.Magnetic()
         h = rl.build_background(rl.LatticeBox((2,)), spec)
         assert np.allclose(h, [[2, -1], [-1, 2]])
 
@@ -73,10 +72,29 @@ class TestBackground:
         with pytest.raises(rl.ModelError):
             rl.PeriodicPotential(period=(2,), values=(1.0,))
 
-    def test_non_antisymmetric_phase_rejected(self):
-        spec = rl.Magnetic(phase=lambda x, y: 0.3)  # A(x,y) != -A(y,x)
+    @pytest.mark.parametrize("sides, spec", [
+        pytest.param((4, 4), rl.PeriodicPotential(period=(2,), values=(0.5, -0.5)),
+                     id="period-short"),
+        pytest.param((4,), rl.PeriodicPotential(period=(2, 2), values=(1, 2, 3, 4)),
+                     id="period-long"),
+        pytest.param((6,), rl.Magnetic(axis_phases=(0.3, 0.7)), id="axis-phases-past-box"),
+        pytest.param((6,), rl.Magnetic(field=0.5), id="field-on-1d-box"),
+    ])
+    def test_parameters_the_box_cannot_carry_rejected(self, sides, spec):
         with pytest.raises(rl.ModelError):
-            rl.build_background(rl.LatticeBox((2,)), spec)
+            rl.build_background(rl.LatticeBox(sides), spec)
+
+    def test_magnetic_gauge_is_antisymmetric_landau(self):
+        # bond x -> x + e_k carries theta_k, plus field * x_0 on axis 1
+        box = rl.LatticeBox((3, 4))
+        h = rl.build_background(box, rl.Magnetic(axis_phases=(0.3,), field=0.5))
+        for x0, x1 in [(0, 0), (1, 2), (2, 1)]:
+            i = box.index_of((x0, x1))
+            assert h[i, i + 1] == pytest.approx(-np.exp(1j * 0.5 * x0))
+            assert h[i + 1, i] == pytest.approx(-np.exp(-1j * 0.5 * x0))
+        i = box.index_of((1, 3))
+        assert h[i, i + 4] == pytest.approx(-np.exp(0.3j))
+        assert h[i + 4, i] == pytest.approx(-np.exp(-0.3j))
 
     @pytest.mark.parametrize("dim,sides", [(1, (7,)), (2, (3, 4))])
     def test_hermiticity_exact(self, dim, sides):
@@ -98,8 +116,8 @@ class TestBackground:
 
     def test_magnetic_modulus_matches_zero_phase(self):
         box = rl.LatticeBox((3, 3))
-        h_phase = rl.build_background(box, rl.Magnetic(phase=gauge_phase([0.7, 1.3])))
-        h_zero = rl.build_background(box, rl.Magnetic(phase=lambda x, y: 0.0))
+        h_phase = rl.build_background(box, rl.Magnetic(axis_phases=(0.7, 1.3)))
+        h_zero = rl.build_background(box, rl.Magnetic())
         assert np.allclose(np.abs(h_phase), np.abs(h_zero))
 
     def test_translation_structure_in_bulk(self):
