@@ -96,20 +96,12 @@ def _parse_variant(block: dict, table: dict, box: lattice.LatticeBox):
     return make(**_parse_block(rest, "", params, box))
 
 
-def _integer(value) -> int:
-    """``value`` as an int: an integral number such as 1e5 is one; a bool or 2.7 is not."""
-    integral = isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or integral):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _seed(value, box) -> int:
-    return np.random.SeedSequence(_integer(value)).entropy  # rejects negative seeds
+    return np.random.SeedSequence(lattice.as_integer(value)).entropy  # rejects negative seeds
 
 
 def _count(name: str, least: int = 1) -> Callable:
-    return lambda value, box: montecarlo.check_count(name, _integer(value), least)
+    return lambda value, box: montecarlo.check_count(name, lattice.as_integer(value), least)
 
 
 def _out(value, box) -> Optional[str]:

@@ -15,6 +15,24 @@ class ModelError(ValueError):
     """Invalid model parameter (geometry, background or density)."""
 
 
+def as_integer(value) -> int:
+    """``value`` as an int: an integral number such as 1e5 is one; a bool or 2.7 is not."""
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _positive_integers(name: str, values) -> tuple[int, ...]:
+    try:
+        values = tuple(as_integer(v) for v in values)
+    except TypeError as exc:
+        raise ModelError(f"{name} must be positive integers: {exc}") from exc
+    if any(v < 1 for v in values):
+        raise ModelError(f"{name} must be positive integers, got {values}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
@@ -29,9 +47,7 @@ class LatticeBox:
     def __post_init__(self):
         if len(self.sides) == 0:
             raise ModelError("box must have at least one axis")
-        if any(int(s) != s or s < 1 for s in self.sides):
-            raise ModelError(f"sides must be positive integers, got {self.sides}")
-        object.__setattr__(self, "sides", tuple(int(s) for s in self.sides))
+        object.__setattr__(self, "sides", _positive_integers("sides", self.sides))
 
     @property
     def dimension(self) -> int:
@@ -85,8 +101,7 @@ class PeriodicPotential:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if any(int(p) != p or p < 1 for p in self.period):
-            raise ModelError(f"period must be positive integers, got {self.period}")
+        _positive_integers("period", self.period)
         if len(self.values) != int(np.prod(self.period)):
             raise ModelError("values must supply one entry per period-cell site")
 
@@ -297,14 +312,41 @@ def sample_potential(box: LatticeBox, density: DisorderDensity,
     return density.ppf(u)
 
 
+class Tridiagonal(NamedTuple):
+    """A real symmetric tridiagonal matrix by its two bands."""
+
+    diagonal: np.ndarray      # N entries
+    off_diagonal: np.ndarray  # N - 1 entries, the moduli |h_{i, i+1}|
+
+
+# Backgrounds whose bonds join nearest neighbours only: on a 1D box each
+# realization is tridiagonal.  None is the diagonal-only test hook.
+_NEAREST_NEIGHBOUR = (Laplacian, PeriodicPotential, Magnetic, type(None))
+
+
+def tridiagonal_bands(box: LatticeBox, spec: BackgroundSpec,
+                      background: np.ndarray) -> Optional[Tridiagonal]:
+    """The bands of ``background`` (``build_background(box, spec)``) when the
+    model is a 1D nearest-neighbour chain, else None.  A Hermitian
+    tridiagonal matrix is unitarily similar, by a diagonal gauge, to the real
+    one with off-diagonal |h_{i, i+1}|, so a magnetic chain's bands are real."""
+    if box.dimension != 1 or not isinstance(spec, _NEAREST_NEIGHBOUR):
+        return None
+    return Tridiagonal(np.diagonal(background).real.copy(),
+                       np.abs(np.diagonal(background, 1)))
+
+
 @dataclass(frozen=True)
 class HamiltonianSample:
-    """One disorder realization H = background + diag(potential)."""
+    """One disorder realization H = background + diag(potential).  ``bands``
+    are the background's (``tridiagonal_bands``) when H is tridiagonal; the
+    spectral kernels then work on the bands instead of ``matrix``."""
 
     box: LatticeBox
     background: np.ndarray = field(repr=False)
     potential: np.ndarray = field(repr=False)
     seed_record: Optional[SeedRecord] = None
+    bands: Optional[Tridiagonal] = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -316,10 +358,11 @@ class HamiltonianSample:
 def assemble(box: LatticeBox, spec: BackgroundSpec, density: DisorderDensity,
              seed_record) -> HamiltonianSample:
     rec = _as_seed_record(seed_record)
-    return HamiltonianSample(box=box,
-                             background=build_background(box, spec),
+    background = build_background(box, spec)
+    return HamiltonianSample(box=box, background=background,
                              potential=sample_potential(box, density, rec),
-                             seed_record=rec)
+                             seed_record=rec,
+                             bands=tridiagonal_bands(box, spec, background))
 
 
 def assemble_fixed(box: LatticeBox, spec: BackgroundSpec,
@@ -328,7 +371,7 @@ def assemble_fixed(box: LatticeBox, spec: BackgroundSpec,
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (box.n_sites,):
         raise ModelError(f"potential must have shape ({box.n_sites},)")
-    return HamiltonianSample(box=box,
-                             background=build_background(box, spec),
-                             potential=potential,
-                             seed_record=None)
+    background = build_background(box, spec)
+    return HamiltonianSample(box=box, background=background, potential=potential,
+                             seed_record=None,
+                             bands=tridiagonal_bands(box, spec, background))

@@ -17,11 +17,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
-                      LatticeBox, SeedRecord, build_background,
-                      sample_potential)
+                      LatticeBox, SeedRecord, as_integer, build_background,
+                      sample_potential, tridiagonal_bands)
 from .spectral import (NumericalFault, _as_z, check_exponent, count_in,
-                       det_im, green_block, green_columns, imag_part,
-                       spectrum, sum_principal_minors)
+                       count_spectrum, det_im, green_block, green_columns,
+                       imag_part, spectrum, sum_principal_minors)
 
 _BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
 
@@ -71,7 +71,9 @@ def check_positive(name: str, value: float) -> float:
 
 def decay_reach(box: LatticeBox, max_distance: Optional[int]) -> int:
     """Largest distance along the first axis that the decay fit uses."""
-    reach = box.sides[0] - 1 if max_distance is None else min(max_distance, box.sides[0] - 1)
+    reach = box.sides[0] - 1
+    if max_distance is not None:
+        reach = min(as_integer(max_distance), reach)
     if reach < 3:
         raise ValueError(f"need at least 3 distances along the first axis, got {reach}")
     return reach
@@ -124,6 +126,7 @@ def run_realizations(config: McConfig,
     per-realization results in realization-index order."""
     model = config.model
     background = build_background(model.box, model.background)
+    bands = tridiagonal_bands(model.box, model.background, background)
 
     def run_block(start: int) -> list:
         out = []
@@ -132,7 +135,7 @@ def run_realizations(config: McConfig,
             sample = HamiltonianSample(
                 box=model.box, background=background,
                 potential=sample_potential(model.box, model.density, rec),
-                seed_record=rec)
+                seed_record=rec, bands=bands)
             try:
                 out.append(kernel(sample))
             except NumericalFault as exc:
@@ -172,7 +175,7 @@ def mc_wegner_nlevel(config: McConfig, interval: tuple[float, float],
     length = b - a
 
     def kernel(sample: HamiltonianSample) -> float:
-        return 1.0 if count_in(spectrum(sample), a, b) >= n else 0.0
+        return 1.0 if count_spectrum(sample, a, b) >= n else 0.0
 
     vals = run_realizations(config, kernel)
     rho = config.model.density.sup_density
@@ -201,26 +204,26 @@ def estimate_ids(config: McConfig, energy: float) -> McEstimate:
     vol = config.model.box.n_sites
 
     def kernel(sample: HamiltonianSample) -> float:
-        return float(count_in(spectrum(sample), -math.inf, energy)) / vol
+        return float(count_spectrum(sample, -math.inf, energy)) / vol
 
     return _estimate(np.array(run_realizations(config, kernel)))
 
 
-def _dos_count(energy: float, bandwidth: float, vol: int) -> Callable[[np.ndarray], float]:
-    """Per-realization DOS estimate from its spectrum: the count in
-    [E - h, E + h) over 2 h |box|."""
+def _dos_count(energy: float, bandwidth: float, vol: int,
+               counter: Callable[..., int]) -> Callable[[object], float]:
+    """Per-realization DOS estimate: ``counter(x, lo, hi)``, the count of
+    ``x``'s eigenvalues in [E - h, E + h), over 2 h |box|."""
     check_positive("bandwidth", bandwidth)
     lo, hi = energy - bandwidth, energy + bandwidth
-    return lambda w: float(count_in(w, lo, hi)) / (2.0 * bandwidth * vol)
+    return lambda x: float(counter(x, lo, hi)) / (2.0 * bandwidth * vol)
 
 
 def estimate_dos(config: McConfig, energy: float, bandwidth: float = 0.05) -> McEstimate:
     """Central-difference estimate of the density of states at E with
     half-width ``bandwidth``; the O(h) bias is accepted and recorded by
     the caller, not corrected here."""
-    count = _dos_count(energy, bandwidth, config.model.box.n_sites)
-    return _estimate(np.array(run_realizations(
-        config, lambda s: count(spectrum(s)))))
+    count = _dos_count(energy, bandwidth, config.model.box.n_sites, count_spectrum)
+    return _estimate(np.array(run_realizations(config, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,7 @@ def spacing_experiment(config: McConfig, energy: float, window: float,
     them against the Poisson predictions at intensity ``rate`` (estimated
     from the same spectra, as ``estimate_dos`` would, when not supplied)."""
     vol = config.model.box.n_sites
-    count = _dos_count(energy, dos_bandwidth, vol) if rate is None else None
+    count = _dos_count(energy, dos_bandwidth, vol, count_in) if rate is None else None
     spectra = run_realizations(config, spectrum)
     if count is not None:
         rate = _estimate(np.array([count(w) for w in spectra])).mean

@@ -1,9 +1,14 @@
-"""Dense Hermitian spectral computations: eigendecompositions, resolvents,
+"""Hermitian spectral computations: eigendecompositions, resolvents,
 Green blocks, the rank-n perturbation (Krein) and Schur-complement
 identities, determinants of imaginary parts, and symmetric-function
 identities for sums of principal minors.  Every spectrum (``spectrum``),
-eigenvalue count in [a, b) (``count_in``) and solve with H - z
-(``green_columns``) of a realization goes through this module."""
+eigenvalue count in [a, b) (``count_spectrum``) and solve with H - z
+(``green_columns``) of a realization goes through this module.
+
+A tridiagonal sample (a 1D nearest-neighbour chain, see
+``lattice.tridiagonal_bands``) has its spectrum computed and its
+eigenvalues counted on its two bands; everything else, and every solve,
+works on the dense matrix, which stays the reference for the band path."""
 
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import HamiltonianSample
+from .lattice import HamiltonianSample, as_integer
 
 
 class NonHermitianError(ValueError):
@@ -84,16 +89,68 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
+def _bands(h) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(diagonal, |off-diagonal|) of a tridiagonal sample; None otherwise."""
+    if isinstance(h, HamiltonianSample) and h.bands is not None:
+        return h.bands.diagonal + h.potential, h.bands.off_diagonal
+    return None
+
+
 def spectrum(h) -> np.ndarray:
     """Ascending eigenvalues of a sample or matrix.  No Hermiticity check:
-    this is the per-realization hot path."""
-    return np.linalg.eigvalsh(_as_matrix(h))
+    this is the per-realization hot path.  A tridiagonal sample goes to
+    LAPACK dsterf (root-free QR) on its bands, O(N^2) in place of O(N^3)."""
+    bands = _bands(h)
+    if bands is None:
+        return np.linalg.eigvalsh(_as_matrix(h))
+    diagonal, off = bands
+    if len(diagonal) == 1:  # the dsterf wrapper rejects an empty off-diagonal
+        return diagonal
+    from scipy.linalg import lapack  # loads all of scipy.linalg; count_spectrum does not
+    w, info = lapack.dsterf(diagonal, off)
+    if info:
+        raise NumericalFault(f"dsterf: {info} off-diagonal entries did not converge")
+    return w
 
 
 def count_in(w: np.ndarray, a: float, b: float) -> int:
     """Number of values of ``w`` in the half-open interval [a, b), the
     convention of a Sturm count #{w < b} - #{w < a}."""
     return int(np.count_nonzero((w >= a) & (w < b)))
+
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _count_below(diagonal: list, off_squared: list, x: float) -> int:
+    """#{eigenvalues < x} of the symmetric tridiagonal matrix T with this
+    diagonal and squared off-diagonal (``off_squared[0]`` is 0): the number
+    of negative pivots of T - x = L D L^T, by Sylvester's law of inertia
+    (Golub & Van Loan, Matrix Computations, 8.4).  Each pivot decreases in
+    x, so a pivot that is exactly 0 is positive just below x: it counts as
+    non-negative and goes on as the smallest positive float, which gives
+    the count at x^- and keeps the [a, b) convention."""
+    count, pivot = 0, 1.0
+    for d, e2 in zip(diagonal, off_squared):
+        pivot = (d - x) - e2 / pivot
+        if pivot < 0:
+            count += 1
+        elif pivot == 0:
+            pivot = _TINY
+    return count
+
+
+def count_spectrum(h, a: float, b: float) -> int:
+    """Number of eigenvalues of a sample or matrix in [a, b).  A tridiagonal
+    sample is counted without its spectrum, by the Sturm count
+    #{λ < b} - #{λ < a} in plain Python (no scipy import); anything else
+    as ``count_in(spectrum(h), a, b)``."""
+    bands = _bands(h)
+    if bands is None:
+        return count_in(spectrum(h), a, b)
+    diagonal, off = bands
+    diagonal, off_squared = diagonal.tolist(), [0.0] + (off * off).tolist()
+    return _count_below(diagonal, off_squared, b) - _count_below(diagonal, off_squared, a)
 
 
 def green_columns(h, z, sites: Sequence[int],
@@ -149,7 +206,7 @@ class GreenBlock:
 
 
 def _check_subset(n: int, indices: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(as_integer(i) for i in indices)
     if len(idx) == 0:
         raise ValueError("subset must be nonempty")
     if len(set(idx)) != len(idx):

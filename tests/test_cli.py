@@ -153,6 +153,16 @@ class TestParseConfig:
                      "config.runtime.seed", id="seed-fractional"),
         pytest.param(set_experiment(name="identities", sweep_draws=-3),
                      "config.experiment.sweep_draws", id="sweep-draws-negative"),
+        pytest.param(lambda r: r["experiment"].update(delta=[2.5]),
+                     "config.experiment.delta", id="delta-fractional"),
+        pytest.param(lambda r: r["experiment"].update(delta=[True]),
+                     "config.experiment.delta", id="delta-bool"),
+        pytest.param(lambda r: r["model"].update(sides=[True, 5]),
+                     "config.model.sides", id="sides-bool"),
+        pytest.param(fracmoment(max_distance=5.5), "config.experiment.max_distance",
+                     id="max-distance-fractional"),
+        pytest.param(set_background([4], variant="periodic", period=[True], values=[0.5]),
+                     "config.model.background", id="period-bool"),
     ])
     def test_error_messages_carry_field_paths(self, mutate, fragment):
         raw = json.loads(json.dumps(MINAMI_CONFIG))
@@ -351,15 +361,31 @@ class TestDeterminism:
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_integrate_and_stats_unloaded(self):
+    @staticmethod
+    def run_python(code, *args):
         src = os.path.dirname(os.path.dirname(randlat.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("import sys, randlat.cli; print([m for m in "
-                "('scipy.integrate', 'scipy.stats') if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_scipy_integrate_and_stats_unloaded(self):
+        assert self.run_python("import sys, randlat.cli; print([m for m in "
+                               "('scipy.integrate', 'scipy.stats') if m in sys.modules])") == "[]"
+
+    def test_1d_counts_leave_scipy_linalg_unloaded(self):
+        # the Sturm count serves wegner, ids and dos on a chain; scipy.linalg
+        # would add about 19 MB to their peak memory
+        experiments = [{"name": "wegner", "interval": [0.4, 0.6], "n": 1, "samples": 20},
+                       {"name": "ids", "energy": 0.5, "samples": 20},
+                       {"name": "dos", "energy": 0.5, "samples": 20}]
+        configs = [dict(MINAMI_CONFIG, experiment=exp) for exp in experiments]
+        code = ("import json, sys; from randlat import cli\n"
+                "for raw in json.loads(sys.argv[1]):\n"
+                "    cli.run_experiment(cli.parse_config(raw))\n"
+                "print('scipy.linalg' in sys.modules)")
+        assert self.run_python(code, json.dumps(configs)) == "False"
 
 
 class TestMain:

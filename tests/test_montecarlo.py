@@ -168,9 +168,8 @@ class TestSpacing:
     def test_estimated_rate_is_the_dos_estimate(self, monkeypatch):
         cfg = make_config(sides=(40,), density=rl.Uniform(0.0, 15.0),
                           samples=30, seed=23, workers=3)
-        eigvalsh, calls = np.linalg.eigvalsh, []
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda m: calls.append(1) or eigvalsh(m))
+        spectrum, calls = mc.spectrum, []
+        monkeypatch.setattr(mc, "spectrum", lambda s: calls.append(1) or spectrum(s))
         stats = mc.spacing_experiment(cfg, 7.5, 30.0, dos_bandwidth=0.7)
         assert len(calls) == cfg.samples  # one spectrum per realization
         assert stats.rate == mc.estimate_dos(cfg, 7.5, 0.7).mean

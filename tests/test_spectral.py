@@ -6,9 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
-from randlat.spectral import (count_in, elementary_symmetric, green_columns,
-                              imag_part, spectrum)
+from randlat.spectral import (count_in, count_spectrum, elementary_symmetric,
+                              green_columns, imag_part, spectrum)
 from conftest import background_variants, random_box, random_triple
+
+
+CHAIN_FAMILIES = {
+    "laplacian": lambda local: rl.Laplacian(),
+    "periodic": lambda local: rl.PeriodicPotential(
+        period=(3,), values=tuple(local.uniform(-2, 2, size=3))),
+    "magnetic": lambda local: rl.Magnetic(axis_phases=(float(local.uniform(-4, 4)),)),
+    "none": lambda local: None,
+}
+
+
+def chain_sample(seed, n, family):
+    """A random-potential sample on a 1D box of n sites: a tridiagonal sample."""
+    local = np.random.default_rng(seed)
+    spec = CHAIN_FAMILIES[family](local)
+    return rl.assemble_fixed(rl.LatticeBox((n,)), spec, local.uniform(-3, 3, size=n))
 
 
 def random_hermitian(rng, n, complex_entries=True):
@@ -237,6 +253,18 @@ class TestCounting:
         # IDS counts [-inf, E), DOS [E - h, E + h), with the same primitive
         assert count_in(np.diag(h), -math.inf, 1.0) == 1
         assert count_in(np.diag(h), 1.0, 2.0) == 1
+        # the Sturm count on exact edges: a diagonal-only chain's eigenvalues
+        # are its potential values, here on a and on b
+        edges = rl.assemble_fixed(rl.LatticeBox((5,)), None, [0.0, 1.0, 2.0, 1.0, 0.5])
+        assert edges.bands is not None
+        assert count_spectrum(edges, 0.0, 1.0) == 2
+        assert count_spectrum(edges, 1.0, 2.0) == 2
+        assert count_spectrum(edges, -math.inf, 1.0) == 2
+        assert count_spectrum(edges, 2.0, 3.0) == 1
+        # a zero pivot behind a non-zero coupling: eigenvalues exactly -1 and 1
+        pair = rl.assemble_fixed(rl.LatticeBox((2,)), rl.Laplacian(), [0.0, 0.0])
+        assert count_spectrum(pair, -1.0, 1.0) == 1
+        assert count_spectrum(pair, 1.0, 2.0) == 1
 
 
 class TestWedgeCount:
@@ -303,6 +331,53 @@ class TestSpectrumGreenLink:
                 w = spectrum(rl.assemble_fixed(box, spec, v))
                 shifted = spectrum(rl.assemble_fixed(box, spec, v + c))
                 assert np.allclose(shifted, w + c, rtol=0, atol=1e-10)
+
+
+class TestTridiagonalPath:
+    """The band path of a 1D chain (dsterf, Sturm count) against the dense
+    reference, np.linalg.eigvalsh on ``.matrix``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+           family=st.sampled_from(sorted(CHAIN_FAMILIES)))
+    def test_spectrum_matches_dense(self, seed, n, family):
+        sample = chain_sample(seed, n, family)
+        assert sample.bands is not None
+        w, reference = spectrum(sample), np.linalg.eigvalsh(sample.matrix)
+        if family == "magnetic":  # the bands are real, the matrix complex
+            scale = max(1.0, float(np.abs(reference).max()))
+            np.testing.assert_allclose(w, reference, rtol=0, atol=1e-12 * scale)
+        else:
+            np.testing.assert_array_equal(w, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+           family=st.sampled_from(sorted(CHAIN_FAMILIES)))
+    def test_sturm_count_matches_dense(self, seed, n, family):
+        sample = chain_sample(seed, n, family)
+        reference = np.linalg.eigvalsh(sample.matrix)
+        a, b = np.sort(np.random.default_rng(seed + 1).uniform(-6.0, 8.0, size=2))
+        assert count_spectrum(sample, a, b) == count_in(reference, a, b)
+        assert count_spectrum(sample, -math.inf, b) == count_in(reference, -math.inf, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64))
+    def test_open_magnetic_chain_is_the_laplacian_shifted_by_two(self, seed, n):
+        # on an open chain the gauge can be removed; the diagonal 2d remains
+        local = np.random.default_rng(seed)
+        box, v = rl.LatticeBox((n,)), local.uniform(-3, 3, size=n)
+        magnetic = rl.assemble_fixed(box, rl.Magnetic(axis_phases=(local.uniform(-4, 4),)), v)
+        laplacian = rl.assemble_fixed(box, rl.Laplacian(), v)
+        for path in (spectrum, lambda s: np.linalg.eigvalsh(s.matrix)):
+            shifted = path(laplacian) + 2.0
+            np.testing.assert_allclose(path(magnetic), shifted, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(shifted).max()))
+
+    def test_other_models_stay_dense(self):
+        for box, spec in [(rl.LatticeBox((6,)), rl.DecayingHopping(amplitude=1.0, rate=1.2)),
+                          (rl.LatticeBox((2, 3)), rl.Laplacian()),
+                          (rl.LatticeBox((1, 6)), None)]:
+            assert rl.assemble_fixed(box, spec, np.zeros(6)).bands is None
 
 
 class TestIdentitySweep:
