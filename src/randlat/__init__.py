@@ -5,7 +5,8 @@ bounds, and level-spacing statistics."""
 from .lattice import (DecayingHopping, HamiltonianSample, Laplacian,
                       LatticeBox, Magnetic, ModelError, PeriodicPotential,
                       PiecewiseConstant, SeedRecord, Uniform, assemble,
-                      assemble_fixed, build_background, sample_potential)
+                      assemble_fixed, build_background, sample_potential,
+                      sample_potentials)
 from .montecarlo import (BoundCheck, McConfig, McEstimate, ModelSpec,
                          SpacingStats, estimate_dos, estimate_ids,
                          frac_moment_decay, mc_minami, mc_wegner_nlevel,

@@ -116,8 +116,12 @@ def _dimension(value, box):
     return value
 
 
-_FLOAT = (lambda v, box: float(v), REQUIRED)
-_FLOATS = (lambda v, box: tuple(float(x) for x in v), REQUIRED)
+def _reals(value, box) -> tuple[float, ...]:
+    return tuple(lattice.as_real(x) for x in value)
+
+
+_FLOAT = (lambda v, box: lattice.as_real(v), REQUIRED)
+_FLOATS = (_reals, REQUIRED)
 
 RUNTIME = {"seed": (_seed, 0), "workers": (_count("workers"), 1), "out": (_out, None),
            "format": (lambda v, box: _choice(v, ("json-lines", "csv")), "json-lines")}
@@ -131,11 +135,13 @@ BACKGROUNDS: dict[str, tuple[Callable, dict]] = {
                   "values": _FLOATS}),
     "magnetic": (lattice.Magnetic,
                  {"axis_phases": (lambda v, box: lattice.check_on_box(
-                     "axis_phases", tuple(float(p) for p in v), box), ()),
-                  "field": (lambda v, box: lattice.check_on_box("field", float(v), box), 0.0)}),
+                     "axis_phases", _reals(v, box), box), ()),
+                  "field": (lambda v, box: lattice.check_on_box("field", lattice.as_real(v), box),
+                            0.0)}),
     "decaying": (lattice.DecayingHopping,
                  {"amplitude": _FLOAT, "rate": _FLOAT,
-                  "truncation_radius": (lambda v, box: None if v is None else float(v), None)}),
+                  "truncation_radius": (lambda v, box: None if v is None else lattice.as_real(v),
+                                        None)}),
     "none": (lambda: None, {}),  # diagonal-only test hook
 }
 
@@ -176,7 +182,7 @@ class Experiment:
 
 def _z(value, box) -> complex:
     re, im = value
-    return _as_z(complex(re, im))
+    return _as_z(complex(lattice.as_real(re), lattice.as_real(im)))
 
 
 def _max_distance(value, box):
@@ -223,7 +229,7 @@ def _run_identities(p: dict, config) -> list[dict]:
 
 
 _SAMPLES = (_count("samples"), REQUIRED)
-_BANDWIDTH = (lambda v, box: montecarlo.check_positive("bandwidth", float(v)), 0.05)
+_BANDWIDTH = (lambda v, box: montecarlo.check_positive("bandwidth", lattice.as_real(v)), 0.05)
 
 EXPERIMENTS: dict[str, Experiment] = {
     "minami": Experiment(
@@ -232,8 +238,7 @@ EXPERIMENTS: dict[str, Experiment] = {
          "samples": _SAMPLES},
         lambda p, mc: _bound_fields(montecarlo.mc_minami(mc, p["z"], p["delta"]))),
     "wegner": Experiment(
-        {"interval": (lambda v, box: montecarlo.check_interval(tuple(float(x) for x in v)),
-                      REQUIRED),
+        {"interval": (lambda v, box: montecarlo.check_interval(_reals(v, box)), REQUIRED),
          "n": (_count("n"), REQUIRED),
          "samples": _SAMPLES},
         lambda p, mc: _bound_fields(
@@ -249,16 +254,17 @@ EXPERIMENTS: dict[str, Experiment] = {
                             mc, p["energy"], p["bandwidth"]))}]),
     "spacing": Experiment(
         {"energy": _FLOAT,
-         "window": (lambda v, box: montecarlo.check_positive("window", float(v)), REQUIRED),
+         "window": (lambda v, box: montecarlo.check_positive("window", lattice.as_real(v)),
+                    REQUIRED),
          "samples": _SAMPLES,
-         "rate": (lambda v, box: v if v is None else montecarlo.check_positive("rate", v),
-                  None),
+         "rate": (lambda v, box: v if v is None else montecarlo.check_positive(
+             "rate", lattice.as_real(v)), None),
          "dos_bandwidth": _BANDWIDTH},
         _run_spacing),
     "fracmoment": Experiment(
         {"energy": _FLOAT,
-         "eps": (lambda v, box: montecarlo.check_positive("eps", float(v)), REQUIRED),
-         "s": (lambda v, box: check_exponent(float(v)), REQUIRED),
+         "eps": (lambda v, box: montecarlo.check_positive("eps", lattice.as_real(v)), REQUIRED),
+         "s": (lambda v, box: check_exponent(lattice.as_real(v)), REQUIRED),
          "samples": _SAMPLES,
          "max_distance": (_max_distance, None)},
         _run_fracmoment),

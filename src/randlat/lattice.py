@@ -1,9 +1,13 @@
 """Finite lattice boxes, background operators, disorder densities and
-assembly of single-realization Hamiltonians H = H0 + diag(V)."""
+assembly of single-realization Hamiltonians H = H0 + diag(V).  Potentials
+are drawn per realization (``sample_potential``) or for a block of
+realizations in one vectorized pass of the same stream
+(``sample_potentials``)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -21,6 +25,20 @@ def as_integer(value) -> int:
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or integral):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value) -> float:
+    """``value`` as a finite float: an int or a float is one; a bool, a
+    string, NaN or an infinity is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return real
 
 
 def _positive_integers(name: str, values) -> tuple[int, ...]:
@@ -304,11 +322,119 @@ def sample_potential(box: LatticeBox, density: DisorderDensity,
                      seed_record) -> np.ndarray:
     """i.i.d. potential draws, one per site, via inverse CDF on a
     counter-based stream keyed by (master seed, realization index).
-    Deterministic and independent of any surrounding draw order."""
+    Deterministic and independent of any surrounding draw order.  This is
+    the reference for ``sample_potentials``."""
     rec = _as_seed_record(seed_record)
     bitgen = Philox(seed=SeedSequence(entropy=rec.master_seed,
                                       spawn_key=(rec.realization,)))
     u = Generator(bitgen).random(box.n_sites)
+    return density.ppf(u)
+
+
+# numpy's SeedSequence (a pool of four uint32 words) and Philox4x64-10 (Salmon
+# et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Both streams
+# are frozen by numpy's stream-compatibility policy (NEP 19).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# the round multipliers and the key increments (Weyl constants), one per key word
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_PHILOX_ROUNDS = 10
+
+
+class _Hash:
+    """SeedSequence's hash of one uint32 word, whose multiplier advances by
+    ``mult`` with every call: hashmix (``_INIT_A``, ``_MULT_A``) when mixing
+    entropy into the pool, and the output hash of ``generate_state``
+    (``_INIT_B``, ``_MULT_B``).  ``value`` may be an int or a uint64 array
+    of uint32 values, in which a product of two words cannot wrap before
+    the mask."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = (value * self.const) & _MASK32
+        return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _philox_keys(master_seed: int, realizations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two uint64 key words of ``Philox(seed=SeedSequence(master_seed,
+    spawn_key=(i,)))`` for every i in ``realizations`` (each < 2**32, one
+    spawn-key word).  The master seed's words fill and mix the pool once;
+    only the spawn-key word, the last one mixed in, is vectorized."""
+    words = [master_seed & _MASK32]
+    while master_seed >> 32 * len(words):
+        words.append((master_seed >> 32 * len(words)) & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))  # padded, as SeedSequence does beside a spawn key
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    spawn = realizations.astype(np.uint64)
+    pool = [_mix(p, hashmix(spawn)) for p in pool]
+    # generate_state(2, uint64): four hashed pool words, read as two little-endian uint64
+    output_hash = _Hash(_INIT_B, _MULT_B)
+    state = [output_hash(p) for p in pool]
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low uint64 words of the 128-bit products a * m, from 32-bit
+    halves (Warren, Hacker's Delight, 8-2); no partial sum overflows."""
+    low, shift = np.uint64(_MASK32), np.uint64(32)  # numpy scalars: no conversion per call
+    a_lo, a_hi = a & low, a >> shift
+    m_lo, m_hi = m & low, m >> shift
+    t = a_hi * m_lo + (a_lo * m_lo >> shift)
+    w1 = (t & low) + a_lo * m_hi
+    return a_hi * m_hi + (t >> shift) + (w1 >> shift), a * m
+
+
+def _philox_random(key: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """(B, n): the first n ``Generator(Philox).random()`` draws of each of B
+    keys.  Philox bumps its 256-bit counter before each block of four uint64
+    words, so block k (0-based) is Philox4x64-10 of the counter (k + 1, 0, 0, 0);
+    a draw is (u64 >> 11) * 2**-53.  Counter words 0 and 2, which the round
+    multiplies, are carried as x[0] and x[1]; words 1 and 3 as y[0] and y[1]."""
+    blocks, size = -(-n // 4), len(key[0])
+    x = np.zeros((2, blocks, size), dtype=np.uint64)  # keys last: long inner loops
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    y = np.zeros_like(x)
+    k = np.stack(key)[:, None, :]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k = k + _PHILOX_W
+        hi, lo = _mulhilo(x, _PHILOX_M)
+        x, y = hi[::-1] ^ y ^ k, lo[::-1]
+    words = np.stack([x[0], y[0], x[1], y[1]], axis=1).transpose(2, 0, 1)
+    return (words.reshape(size, 4 * blocks)[:, :n] >> np.uint64(11)) * 2.0 ** -53
+
+
+def sample_potentials(box: LatticeBox, density: DisorderDensity, master_seed: int,
+                      realizations: Sequence[int]) -> np.ndarray:
+    """(B, N): row b is ``sample_potential(box, density, (master_seed,
+    realizations[b]))``, bit for bit, drawn for the whole block in one
+    vectorized pass of the same counter-based stream.  Indices must be
+    below 2**32."""
+    index = np.asarray(realizations, dtype=np.int64).reshape(-1)
+    if np.any((index < 0) | (index > _MASK32)):
+        raise ValueError("realization indices must be in [0, 2**32)")
+    master_seed = SeedSequence(int(master_seed)).entropy  # rejects negative seeds
+    u = _philox_random(_philox_keys(master_seed, index), box.n_sites)
     return density.ppf(u)
 
 

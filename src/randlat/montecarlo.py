@@ -17,9 +17,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
-                      LatticeBox, SeedRecord, as_integer, build_background,
-                      sample_potential, tridiagonal_bands)
-from .spectral import (NumericalFault, _as_z, check_exponent, count_in,
+                      LatticeBox, SeedRecord, Tridiagonal, as_integer,
+                      build_background, sample_potential, sample_potentials,
+                      tridiagonal_bands)
+from .spectral import (NumericalFault, _as_z, check_exponent, count_bands, count_in,
                        count_spectrum, det_im, green_block, green_columns,
                        imag_part, spectrum, sum_principal_minors)
 
@@ -120,17 +121,25 @@ def _estimate(values: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(np.mean(values)), stderr=stderr, samples=m)
 
 
-def run_realizations(config: McConfig,
-                     kernel: Callable[[HamiltonianSample], object]) -> list:
-    """Map ``kernel`` over all realizations, in parallel, returning the
-    per-realization results in realization-index order."""
-    model = config.model
-    background = build_background(model.box, model.background)
-    bands = tridiagonal_bands(model.box, model.background, background)
+def _map_blocks(config: McConfig, run_block: Callable[[range], object]) -> list:
+    """``run_block`` over the scheduling blocks of ``_BLOCK_SIZE`` realization
+    indices, on the pool when ``config.workers`` > 1; results in block order."""
+    blocks = [range(start, min(start + _BLOCK_SIZE, config.samples))
+              for start in range(0, config.samples, _BLOCK_SIZE)]
+    if config.workers == 1 or len(blocks) == 1:
+        return [run_block(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(run_block, blocks))
 
-    def run_block(start: int) -> list:
+
+def _map_samples(config: McConfig, background: np.ndarray, bands: Optional[Tridiagonal],
+                 kernel: Callable[[HamiltonianSample], object]) -> list:
+    """``kernel`` over every realization, each drawn alone (``sample_potential``)."""
+    model = config.model
+
+    def run_block(block: range) -> list:
         out = []
-        for i in range(start, min(start + _BLOCK_SIZE, config.samples)):
+        for i in block:
             rec = SeedRecord(config.master_seed, i)
             sample = HamiltonianSample(
                 box=model.box, background=background,
@@ -142,13 +151,37 @@ def run_realizations(config: McConfig,
                 raise NumericalFault(f"realization {i}: {exc}") from exc
         return out
 
-    starts = range(0, config.samples, _BLOCK_SIZE)
-    if config.workers == 1 or len(starts) == 1:
-        blocks = [run_block(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            blocks = list(pool.map(run_block, starts))
-    return [item for block in blocks for item in block]
+    return [item for block in _map_blocks(config, run_block) for item in block]
+
+
+def run_realizations(config: McConfig,
+                     kernel: Callable[[HamiltonianSample], object]) -> list:
+    """Map ``kernel`` over all realizations, in parallel, returning the
+    per-realization results in realization-index order."""
+    model = config.model
+    background = build_background(model.box, model.background)
+    return _map_samples(config, background,
+                        tridiagonal_bands(model.box, model.background, background), kernel)
+
+
+def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
+    """The number of eigenvalues in [a, b) of every realization, as an int
+    array in realization-index order.  On a tridiagonal model each
+    scheduling block's potentials are drawn in one pass (``sample_potentials``,
+    the same stream as ``sample_potential``) and counted at once
+    (``count_bands``); any other model maps ``count_spectrum`` over samples."""
+    model = config.model
+    background = build_background(model.box, model.background)
+    bands = tridiagonal_bands(model.box, model.background, background)
+    if bands is None:
+        return np.array(_map_samples(config, background, None,
+                                     lambda s: count_spectrum(s, a, b)), dtype=np.int64)
+
+    def count_block(block: range) -> np.ndarray:
+        potentials = sample_potentials(model.box, model.density, config.master_seed, block)
+        return count_bands(bands, potentials, a, b)
+
+    return np.concatenate(_map_blocks(config, count_block))
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +207,11 @@ def mc_wegner_nlevel(config: McConfig, interval: tuple[float, float],
     a, b = check_interval(interval)
     length = b - a
 
-    def kernel(sample: HamiltonianSample) -> float:
-        return 1.0 if count_spectrum(sample, a, b) >= n else 0.0
-
-    vals = run_realizations(config, kernel)
+    hits = count_realizations(config, a, b) >= n
     rho = config.model.density.sup_density
     vol = config.model.box.n_sites
     bound = (math.pi ** n / math.factorial(n)) * (rho * length * vol) ** n
-    return BoundCheck(estimate=_estimate(np.array(vals)), bound=bound)
+    return BoundCheck(estimate=_estimate(hits), bound=bound)
 
 
 def minor_sum_linkage(sample: HamiltonianSample, z) -> tuple[float, float]:
@@ -201,29 +231,26 @@ def minor_sum_linkage(sample: HamiltonianSample, z) -> tuple[float, float]:
 
 def estimate_ids(config: McConfig, energy: float) -> McEstimate:
     """Mean of #{eigenvalues < E} / |box| over realizations."""
-    vol = config.model.box.n_sites
-
-    def kernel(sample: HamiltonianSample) -> float:
-        return float(count_spectrum(sample, -math.inf, energy)) / vol
-
-    return _estimate(np.array(run_realizations(config, kernel)))
+    return _estimate(count_realizations(config, -math.inf, energy) / config.model.box.n_sites)
 
 
-def _dos_count(energy: float, bandwidth: float, vol: int,
-               counter: Callable[..., int]) -> Callable[[object], float]:
-    """Per-realization DOS estimate: ``counter(x, lo, hi)``, the count of
-    ``x``'s eigenvalues in [E - h, E + h), over 2 h |box|."""
+def _dos_window(energy: float, bandwidth: float) -> tuple[float, float]:
+    """[E - h, E + h), the window whose eigenvalue count, over 2 h |box|
+    (``_dos_values``), estimates the density of states at E."""
     check_positive("bandwidth", bandwidth)
-    lo, hi = energy - bandwidth, energy + bandwidth
-    return lambda x: float(counter(x, lo, hi)) / (2.0 * bandwidth * vol)
+    return energy - bandwidth, energy + bandwidth
+
+
+def _dos_values(counts: np.ndarray, bandwidth: float, vol: int) -> np.ndarray:
+    return counts / (2.0 * bandwidth * vol)
 
 
 def estimate_dos(config: McConfig, energy: float, bandwidth: float = 0.05) -> McEstimate:
     """Central-difference estimate of the density of states at E with
     half-width ``bandwidth``; the O(h) bias is accepted and recorded by
     the caller, not corrected here."""
-    count = _dos_count(energy, bandwidth, config.model.box.n_sites, count_spectrum)
-    return _estimate(np.array(run_realizations(config, count)))
+    counts = count_realizations(config, *_dos_window(energy, bandwidth))
+    return _estimate(_dos_values(counts, bandwidth, config.model.box.n_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +340,11 @@ def spacing_experiment(config: McConfig, energy: float, window: float,
     them against the Poisson predictions at intensity ``rate`` (estimated
     from the same spectra, as ``estimate_dos`` would, when not supplied)."""
     vol = config.model.box.n_sites
-    count = _dos_count(energy, dos_bandwidth, vol, count_in) if rate is None else None
+    dos_window = _dos_window(energy, dos_bandwidth) if rate is None else None
     spectra = run_realizations(config, spectrum)
-    if count is not None:
-        rate = _estimate(np.array([count(w) for w in spectra])).mean
+    if dos_window is not None:
+        counts = np.array([count_in(w, *dos_window) for w in spectra])
+        rate = _estimate(_dos_values(counts, dos_bandwidth, vol)).mean
         if rate == 0:
             raise NumericalFault(f"estimated rate is 0: no eigenvalue within {dos_bandwidth} of "
                                  f"energy {energy}; widen dos_bandwidth or give rate")

@@ -7,7 +7,8 @@ eigenvalue count in [a, b) (``count_spectrum``) and solve with H - z
 
 A tridiagonal sample (a 1D nearest-neighbour chain, see
 ``lattice.tridiagonal_bands``) has its spectrum computed and its
-eigenvalues counted on its two bands; everything else, and every solve,
+eigenvalues counted on its two bands, and ``count_bands`` counts a whole
+block of such realizations at once; everything else, and every solve,
 works on the dense matrix, which stays the reference for the band path."""
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import HamiltonianSample, as_integer
+from .lattice import HamiltonianSample, Tridiagonal, as_integer
 
 
 class NonHermitianError(ValueError):
@@ -89,11 +90,9 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def _bands(h) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(diagonal, |off-diagonal|) of a tridiagonal sample; None otherwise."""
-    if isinstance(h, HamiltonianSample) and h.bands is not None:
-        return h.bands.diagonal + h.potential, h.bands.off_diagonal
-    return None
+def _bands(h) -> Optional[Tridiagonal]:
+    """The background's bands of a tridiagonal sample; None otherwise."""
+    return h.bands if isinstance(h, HamiltonianSample) else None
 
 
 def spectrum(h) -> np.ndarray:
@@ -103,7 +102,7 @@ def spectrum(h) -> np.ndarray:
     bands = _bands(h)
     if bands is None:
         return np.linalg.eigvalsh(_as_matrix(h))
-    diagonal, off = bands
+    diagonal, off = bands.diagonal + h.potential, bands.off_diagonal
     if len(diagonal) == 1:  # the dsterf wrapper rejects an empty off-diagonal
         return diagonal
     from scipy.linalg import lapack  # loads all of scipy.linalg; count_spectrum does not
@@ -122,35 +121,43 @@ def count_in(w: np.ndarray, a: float, b: float) -> int:
 _TINY = float(np.finfo(float).tiny)
 
 
-def _count_below(diagonal: list, off_squared: list, x: float) -> int:
-    """#{eigenvalues < x} of the symmetric tridiagonal matrix T with this
-    diagonal and squared off-diagonal (``off_squared[0]`` is 0): the number
-    of negative pivots of T - x = L D L^T, by Sylvester's law of inertia
-    (Golub & Van Loan, Matrix Computations, 8.4).  Each pivot decreases in
-    x, so a pivot that is exactly 0 is positive just below x: it counts as
-    non-negative and goes on as the smallest positive float, which gives
-    the count at x^- and keeps the [a, b) convention."""
-    count, pivot = 0, 1.0
-    for d, e2 in zip(diagonal, off_squared):
-        pivot = (d - x) - e2 / pivot
-        if pivot < 0:
-            count += 1
-        elif pivot == 0:
-            pivot = _TINY
-    return count
+def _count_below(diagonals: np.ndarray, off_squared: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(E, B): #{eigenvalues < x_e} of each symmetric tridiagonal matrix T
+    whose diagonal is row b of ``diagonals`` (B, N) and whose squared
+    off-diagonal is ``off_squared`` (N - 1), for each x_e of the column ``x``
+    (E, 1): the number of negative pivots of T - x = L D L^T, by Sylvester's
+    law of inertia (Golub & Van Loan, Matrix Computations, 8.4).  The loop
+    runs over sites, with arrays over points and rows.  Each pivot decreases
+    in x, so a pivot that is exactly 0 is positive just below x: it counts as
+    non-negative and goes on as the smallest positive float, which gives the
+    count at x^- and keeps the [a, b) convention."""
+    pivot = diagonals[:, 0] - x
+    count = np.zeros(pivot.shape, dtype=np.int64)
+    with np.errstate(over="ignore"):  # e2 / tiny may round to inf, as Python floats do
+        for k, e2 in enumerate(off_squared, start=1):
+            count += pivot < 0
+            pivot = (diagonals[:, k] - x) - e2 / np.where(pivot == 0, _TINY, pivot)
+    return count + (pivot < 0)
+
+
+def count_bands(bands: Tridiagonal, potentials: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Eigenvalue counts in [a, b) of the realizations bands + diag(V) for
+    each row V of ``potentials`` (B, N), as an int array: the Sturm count
+    #{λ < b} - #{λ < a} over the whole block at once, with no spectrum and
+    no scipy import."""
+    below = _count_below(bands.diagonal + potentials,
+                         bands.off_diagonal * bands.off_diagonal, np.array([[a], [b]]))
+    return below[1] - below[0]
 
 
 def count_spectrum(h, a: float, b: float) -> int:
     """Number of eigenvalues of a sample or matrix in [a, b).  A tridiagonal
-    sample is counted without its spectrum, by the Sturm count
-    #{λ < b} - #{λ < a} in plain Python (no scipy import); anything else
+    sample is the one-row case of ``count_bands``; anything else is counted
     as ``count_in(spectrum(h), a, b)``."""
     bands = _bands(h)
     if bands is None:
         return count_in(spectrum(h), a, b)
-    diagonal, off = bands
-    diagonal, off_squared = diagonal.tolist(), [0.0] + (off * off).tolist()
-    return _count_below(diagonal, off_squared, b) - _count_below(diagonal, off_squared, a)
+    return int(count_bands(bands, h.potential[None, :], a, b)[0])
 
 
 def green_columns(h, z, sites: Sequence[int],

@@ -163,6 +163,27 @@ class TestParseConfig:
                      id="max-distance-fractional"),
         pytest.param(set_background([4], variant="periodic", period=[True], values=[0.5]),
                      "config.model.background", id="period-bool"),
+        pytest.param(lambda r: r["experiment"].update(z=[math.nan, 0.1]),
+                     "config.experiment.z", id="z-nan"),
+        pytest.param(fracmoment(energy=math.nan), "config.experiment.energy",
+                     id="fracmoment-energy-nan"),
+        pytest.param(set_experiment(name="ids", energy=math.nan, samples=10),
+                     "config.experiment.energy", id="ids-energy-nan"),
+        pytest.param(set_experiment(name="dos", energy=math.inf, samples=10),
+                     "config.experiment.energy", id="dos-energy-inf"),
+        pytest.param(set_experiment(name="ids", energy=True, samples=10),
+                     "config.experiment.energy", id="ids-energy-bool"),
+        pytest.param(set_experiment(name="spacing", energy=0.5, window=1.0, rate=True,
+                                    samples=10),
+                     "config.experiment.rate", id="spacing-rate-bool"),
+        pytest.param(set_experiment(name="dos", energy=0.5, bandwidth=math.nan, samples=10),
+                     "config.experiment.bandwidth", id="bandwidth-nan"),
+        pytest.param(set_experiment(name="wegner", interval=[False, True], n=1, samples=10),
+                     "config.experiment.interval", id="interval-bool"),
+        pytest.param(set_experiment(name="ids", energy="0.5", samples=10),
+                     "config.experiment.energy", id="energy-string"),
+        pytest.param(set_background([6], variant="magnetic", axis_phases=[math.nan]),
+                     "config.model.background", id="axis-phases-nan"),
     ])
     def test_error_messages_carry_field_paths(self, mutate, fragment):
         raw = json.loads(json.dumps(MINAMI_CONFIG))

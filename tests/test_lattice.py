@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
@@ -197,6 +197,45 @@ class TestSampling:
         v1 = rl.sample_potential(box, dens, (master, realization))
         v2 = rl.sample_potential(box, dens, (master, realization))
         assert np.array_equal(v1, v2)
+
+
+PIECEWISE = rl.PiecewiseConstant(breakpoints=(-1.0, 0.5, 2.0), weights=(0.5, 1.0 / 6.0))
+
+
+class TestBlockDraw:
+    """``sample_potentials`` against its reference, ``sample_potential`` row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(master=st.integers(0, 2 ** 160),
+           indices=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5),
+           n=st.integers(1, 70), piecewise=st.booleans())
+    @example(master=0, indices=[0, 1, 2 ** 32 - 1], n=1, piecewise=False)
+    @example(master=2 ** 32 - 1, indices=[7], n=5, piecewise=True)
+    @example(master=2 ** 32, indices=[2 ** 32 - 1, 0], n=4, piecewise=False)
+    @example(master=2 ** 128 + 3, indices=[12], n=70, piecewise=True)
+    @example(master=2 ** 160, indices=[2 ** 31], n=9, piecewise=False)
+    def test_bit_identical_to_per_sample_draw(self, master, indices, n, piecewise):
+        box = rl.LatticeBox((n,))
+        density = PIECEWISE if piecewise else rl.Uniform(-2.0, 3.0)
+        block = rl.sample_potentials(box, density, master, indices)
+        reference = np.stack([rl.sample_potential(box, density, (master, i))
+                              for i in indices])
+        assert block.shape == reference.shape == (len(indices), n)
+        assert block.tobytes() == reference.tobytes()
+
+    def test_range_on_2d_box(self):
+        box = rl.LatticeBox((3, 5))
+        block = rl.sample_potentials(box, PIECEWISE, 404, range(250, 262))
+        for row, i in zip(block, range(250, 262)):
+            assert row.tobytes() == rl.sample_potential(box, PIECEWISE, (404, i)).tobytes()
+
+    def test_rejects_bad_keys(self):
+        box, density = rl.LatticeBox((4,)), rl.Uniform(0.0, 1.0)
+        for indices in ([2 ** 32], [-1]):
+            with pytest.raises(ValueError):
+                rl.sample_potentials(box, density, 1, indices)
+        with pytest.raises(ValueError):
+            rl.sample_potentials(box, density, -1, [0])
 
 
 class TestAssembly:

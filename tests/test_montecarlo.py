@@ -222,6 +222,16 @@ class TestReproducibility:
             else:
                 assert chk.estimate == reference.estimate
 
+    @pytest.mark.parametrize("samples", [130, mc._BLOCK_SIZE + 37])
+    def test_counts_bit_identical_across_worker_counts(self, samples):
+        # the block-drawn count path, on either side of one scheduling block
+        results = {}
+        for workers in (1, 3, 8):
+            cfg = make_config(sides=(6,), samples=samples, seed=42, workers=workers)
+            results[workers] = (mc.mc_wegner_nlevel(cfg, (0.2, 0.9), 1).estimate,
+                                mc.estimate_ids(cfg, 0.7))
+        assert results[1] == results[3] == results[8]
+
     def test_block_boundary_independence(self):
         # more samples than one scheduling block
         big = mc._BLOCK_SIZE + 37
@@ -231,6 +241,24 @@ class TestReproducibility:
             vals[workers] = mc.run_realizations(
                 cfg, lambda s: float(np.linalg.eigvalsh(s.matrix)[0]))
         assert vals[1] == vals[4]
+
+    @pytest.mark.parametrize("sides, background", [
+        ((7,), rl.Laplacian()),
+        ((7,), rl.PeriodicPotential(period=(2,), values=(0.3, -0.4))),
+        ((7,), rl.Magnetic(axis_phases=(0.8,))),
+        ((7,), None),
+        ((2, 3), rl.Laplacian()),          # dense: maps count_spectrum over samples
+        ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2)),
+    ])
+    def test_counts_match_per_sample_reference(self, sides, background):
+        cfg = make_config(sides=sides, background=background, samples=mc._BLOCK_SIZE + 37,
+                          seed=2 ** 64 + 9, workers=2)
+        for a, b in [(0.1, 0.9), (-math.inf, 1.3)]:
+            counts = mc.count_realizations(cfg, a, b)
+            reference = mc.run_realizations(
+                cfg, lambda s: rl.count_eigenvalues(s.matrix, (a, b)))
+            assert counts.dtype.kind == "i"
+            assert counts.tolist() == reference
 
     def test_estimator_is_pure(self):
         cfg = make_config(samples=60, seed=31)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
-from randlat.spectral import (count_in, count_spectrum, elementary_symmetric,
+from randlat.spectral import (count_bands, count_in, count_spectrum, elementary_symmetric,
                               green_columns, imag_part, spectrum)
 from conftest import background_variants, random_box, random_triple
 
@@ -359,6 +359,32 @@ class TestTridiagonalPath:
         a, b = np.sort(np.random.default_rng(seed + 1).uniform(-6.0, 8.0, size=2))
         assert count_spectrum(sample, a, b) == count_in(reference, a, b)
         assert count_spectrum(sample, -math.inf, b) == count_in(reference, -math.inf, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), rows=st.integers(1, 6),
+           family=st.sampled_from(sorted(CHAIN_FAMILIES)), on_edges=st.booleans())
+    def test_block_count_matches_dense(self, seed, n, rows, family, on_edges):
+        local = np.random.default_rng(seed)
+        box, spec = rl.LatticeBox((n,)), CHAIN_FAMILIES[family](local)
+        a, b = np.sort(local.uniform(-6.0, 8.0, size=2))
+        potentials = local.uniform(-3.0, 3.0, size=(rows, n))
+        if on_edges:  # some potential values exactly on a and on b
+            pick = local.integers(0, 3, size=potentials.shape)
+            potentials = np.where(pick == 1, a, np.where(pick == 2, b, potentials))
+        samples = [rl.assemble_fixed(box, spec, v) for v in potentials]
+        for lo in (a, -math.inf):
+            counts = count_bands(samples[0].bands, potentials, lo, b)
+            assert counts.dtype.kind == "i"
+            for count, sample in zip(counts, samples):
+                w = np.linalg.eigvalsh(sample.matrix)
+                # A diagonal chain's dense eigenvalues are its potential values
+                # exactly.  With hopping, an eigenvalue can sit exactly on an
+                # edge (here when V = a on several sites), where the dense
+                # reference is only good to rounding: the count must then lie
+                # between the dense counts of the slightly shrunk and widened
+                # windows, which coincide for every row away from an edge.
+                tol = 0.0 if family == "none" else 1e-12 * max(1.0, float(np.abs(w).max()))
+                assert count_in(w, lo + tol, b - tol) <= count <= count_in(w, lo - tol, b + tol)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64))
