@@ -1,12 +1,12 @@
 """Finite lattice boxes, background operators, disorder densities and
-assembly of single-realization Hamiltonians H = H0 + diag(V).  Potentials
+assembly of single-realization Hamiltonians H = H0 + diag(V).  A
+background is a 1D chain's ``Tridiagonal`` bands or a dense matrix
+(``background_operator``), both built from one description.  Potentials
 are drawn per realization (``sample_potential``) or for a block of
-realizations in one vectorized pass of the same stream
-(``sample_potentials``)."""
+realizations in one vectorized pass of the same stream (``sample_potentials``)."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
@@ -77,8 +77,7 @@ class LatticeBox:
 
     def coordinates(self) -> np.ndarray:
         """(n_sites, d) integer array of site coordinates, lexicographic."""
-        return np.array(list(itertools.product(*(range(s) for s in self.sides))),
-                        dtype=np.int64).reshape(self.n_sites, self.dimension)
+        return np.indices(self.sides, dtype=np.int64).reshape(self.dimension, -1).T.copy()
 
     def index_of(self, site: Sequence[int]) -> int:
         site = tuple(int(c) for c in site)
@@ -153,6 +152,9 @@ class DecayingHopping:
 
 
 BackgroundSpec = Union[Laplacian, PeriodicPotential, Magnetic, DecayingHopping, None]
+# Backgrounds whose bonds join nearest neighbours only: on a 1D box each
+# realization is tridiagonal.  None is the diagonal-only test hook.
+_NEAREST_NEIGHBOUR = (Laplacian, PeriodicPotential, Magnetic, type(None))
 
 
 # The rules that tie a background's parameters to the box's dimension d, by
@@ -172,51 +174,55 @@ def check_on_box(key: str, value, box: LatticeBox):
 
 def build_background(box: LatticeBox, spec: BackgroundSpec) -> np.ndarray:
     """Realize the background operator restricted to ``box`` (plain
-    truncation).  Hermitian by construction: the upper triangle is built
-    and mirrored, so max|H - H*| is exactly zero.
-
-    ``spec=None`` is the diagonal-only test hook: a zero matrix.
-    """
-    n = box.n_sites
+    truncation) as a dense matrix, the reference form; ``spec=None``, the
+    diagonal-only test hook, gives a zero matrix.  Hermitian by construction
+    (``_dense``), so max|H - H*| is exactly zero."""
+    if not isinstance(spec, DecayingHopping):
+        return _dense(*_nearest_neighbour(box, spec))
     coords = box.coordinates()
-    if spec is None:
-        return np.zeros((n, n))
+    radius = spec.truncation_radius
+    if radius is None:
+        radius = float(np.linalg.norm(np.array(box.sides) - 1)) + 1.0
+    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    i, j = np.nonzero(np.triu(dist <= radius, k=1))
+    return _dense(np.zeros(box.n_sites), [(i, j, spec.amplitude * np.exp(-spec.rate * dist[i, j]))])
+
+
+def _nearest_neighbour(box: LatticeBox, spec: BackgroundSpec) -> tuple[np.ndarray, list]:
+    """A nearest-neighbour background, described once: its real diagonal,
+    and per axis the bonds (i, j) of ``_nn_bonds`` with the value h_ij on each."""
+    if not isinstance(spec, _NEAREST_NEIGHBOUR):
+        raise ModelError(f"unknown background spec {spec!r}")
     for key in _BOX_RULES:
         if hasattr(spec, key):
             check_on_box(key, getattr(spec, key), box)
-
-    if isinstance(spec, (Laplacian, PeriodicPotential)):
-        h = np.zeros((n, n))
-        for i, j in _nn_bonds(box, coords):
-            h[i, j] = 1.0
-        h = h + h.T
-        if isinstance(spec, PeriodicPotential):
-            h[np.diag_indices(n)] = _periodic_values(coords, spec)
-        return h
-
+    coords = box.coordinates()
+    bonds = _nn_bonds(box, coords)
     if isinstance(spec, Magnetic):
         thetas = np.zeros(box.dimension)
         thetas[:len(spec.axis_phases)] = spec.axis_phases
-        h = np.zeros((n, n), dtype=complex)
-        for k, (i, j) in enumerate(_nn_bonds(box, coords)):
-            phase = thetas[k] + spec.field * coords[i, 0] if k == 1 else thetas[k]
-            h[i, j] = -np.exp(1j * phase)
-        h = h + h.conj().T  # the lower triangle carries -A: antisymmetric by construction
+        phases = [thetas[k] + spec.field * coords[i, 0] if k == 1 else thetas[k]
+                  for k, (i, _) in enumerate(bonds)]
         # diagonal counts all 2d neighbors of the infinite-lattice operator
-        h[np.diag_indices(n)] = 2 * box.dimension
-        return h
+        return (np.full(box.n_sites, 2.0 * box.dimension),
+                [(i, j, np.full(len(i), -np.exp(1j * a))) for (i, j), a in zip(bonds, phases)])
+    diagonal = (_periodic_values(coords, spec) if isinstance(spec, PeriodicPotential)
+                else np.zeros(box.n_sites))
+    hopping = 0.0 if spec is None else 1.0
+    return diagonal.astype(float), [(i, j, np.full(len(i), hopping)) for i, j in bonds]
 
-    if isinstance(spec, DecayingHopping):
-        radius = spec.truncation_radius
-        if radius is None:
-            radius = float(np.linalg.norm(np.array(box.sides) - 1)) + 1.0
-        h = np.zeros((n, n))
-        dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
-        mask = np.triu(dist <= radius, k=1)
-        h[mask] = spec.amplitude * np.exp(-spec.rate * dist[mask])
-        return h + h.T
 
-    raise ModelError(f"unknown background spec {spec!r}")
+def _dense(diagonal: np.ndarray, bonds: list) -> np.ndarray:
+    """A background's matrix from its diagonal and its values on the bonds
+    (i, j), i < j: the upper triangle mirrored as h + h* (a magnetic lower
+    triangle carries -A), summed on the bonds alone, where one term is 0."""
+    n = len(diagonal)
+    h = np.zeros((n, n), dtype=np.result_type(float, *(v for _, _, v in bonds)))
+    zero = h.dtype.type(0)
+    for i, j, values in bonds:  # each of h's dtype
+        h[i, j], h[j, i] = values + np.conj(zero), zero + np.conj(values)
+    h[np.diag_indices(n)] = diagonal
+    return h
 
 
 def _nn_bonds(box: LatticeBox, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -439,43 +445,46 @@ def sample_potentials(box: LatticeBox, density: DisorderDensity, master_seed: in
 
 
 class Tridiagonal(NamedTuple):
-    """A real symmetric tridiagonal matrix by its two bands."""
+    """A 1D nearest-neighbour chain's background by its two bands, the upper
+    one as built (complex on a magnetic chain).  The spectral kernels read
+    its moduli: a Hermitian tridiagonal matrix is unitarily similar, by a
+    diagonal gauge, to the real one with off-diagonal |h_{i, i+1}|."""
 
-    diagonal: np.ndarray      # N entries
-    off_diagonal: np.ndarray  # N - 1 entries, the moduli |h_{i, i+1}|
+    diagonal: np.ndarray      # N real entries
+    off_diagonal: np.ndarray  # N - 1 entries h_{i, i+1}
+
+    def dense(self, potential: np.ndarray) -> np.ndarray:
+        """The dense matrix of bands + diag(potential)."""
+        i = np.arange(len(self.off_diagonal))
+        return _dense(self.diagonal + potential, [(i, i + 1, self.off_diagonal)])
 
 
-# Backgrounds whose bonds join nearest neighbours only: on a 1D box each
-# realization is tridiagonal.  None is the diagonal-only test hook.
-_NEAREST_NEIGHBOUR = (Laplacian, PeriodicPotential, Magnetic, type(None))
+Background = Union[Tridiagonal, np.ndarray]
 
 
-def tridiagonal_bands(box: LatticeBox, spec: BackgroundSpec,
-                      background: np.ndarray) -> Optional[Tridiagonal]:
-    """The bands of ``background`` (``build_background(box, spec)``) when the
-    model is a 1D nearest-neighbour chain, else None.  A Hermitian
-    tridiagonal matrix is unitarily similar, by a diagonal gauge, to the real
-    one with off-diagonal |h_{i, i+1}|, so a magnetic chain's bands are real."""
-    if box.dimension != 1 or not isinstance(spec, _NEAREST_NEIGHBOUR):
-        return None
-    return Tridiagonal(np.diagonal(background).real.copy(),
-                       np.abs(np.diagonal(background, 1)))
+def background_operator(box: LatticeBox, spec: BackgroundSpec) -> Background:
+    """The background on ``box``: a 1D nearest-neighbour chain's bands, built
+    with no N x N array, else the dense matrix (``build_background``)."""
+    if box.dimension == 1 and isinstance(spec, _NEAREST_NEIGHBOUR):
+        diagonal, [(_, _, off_diagonal)] = _nearest_neighbour(box, spec)
+        return Tridiagonal(diagonal, off_diagonal)
+    return build_background(box, spec)
 
 
 @dataclass(frozen=True)
 class HamiltonianSample:
-    """One disorder realization H = background + diag(potential).  ``bands``
-    are the background's (``tridiagonal_bands``) when H is tridiagonal; the
-    spectral kernels then work on the bands instead of ``matrix``."""
+    """One disorder realization H = background + diag(potential), with the
+    background as ``background_operator`` builds it; ``matrix`` is the dense H."""
 
     box: LatticeBox
-    background: np.ndarray = field(repr=False)
+    background: Background = field(repr=False)
     potential: np.ndarray = field(repr=False)
     seed_record: Optional[SeedRecord] = None
-    bands: Optional[Tridiagonal] = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
+        if isinstance(self.background, Tridiagonal):
+            return self.background.dense(self.potential)
         h = self.background.copy()
         h[np.diag_indices(self.box.n_sites)] += self.potential
         return h
@@ -484,11 +493,9 @@ class HamiltonianSample:
 def assemble(box: LatticeBox, spec: BackgroundSpec, density: DisorderDensity,
              seed_record) -> HamiltonianSample:
     rec = _as_seed_record(seed_record)
-    background = build_background(box, spec)
-    return HamiltonianSample(box=box, background=background,
+    return HamiltonianSample(box=box, background=background_operator(box, spec),
                              potential=sample_potential(box, density, rec),
-                             seed_record=rec,
-                             bands=tridiagonal_bands(box, spec, background))
+                             seed_record=rec)
 
 
 def assemble_fixed(box: LatticeBox, spec: BackgroundSpec,
@@ -497,7 +504,5 @@ def assemble_fixed(box: LatticeBox, spec: BackgroundSpec,
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (box.n_sites,):
         raise ModelError(f"potential must have shape ({box.n_sites},)")
-    background = build_background(box, spec)
-    return HamiltonianSample(box=box, background=background, potential=potential,
-                             seed_record=None,
-                             bands=tridiagonal_bands(box, spec, background))
+    return HamiltonianSample(box=box, background=background_operator(box, spec),
+                             potential=potential, seed_record=None)

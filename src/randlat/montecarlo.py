@@ -16,10 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
+from .lattice import (Background, BackgroundSpec, DisorderDensity, HamiltonianSample,
                       LatticeBox, SeedRecord, Tridiagonal, as_integer,
-                      build_background, sample_potential, sample_potentials,
-                      tridiagonal_bands)
+                      background_operator, sample_potential, sample_potentials)
 from .spectral import (NumericalFault, _as_z, check_exponent, count_bands, count_in,
                        count_spectrum, det_im, green_block, green_columns,
                        imag_part, spectrum, sum_principal_minors)
@@ -121,20 +120,16 @@ def _estimate(values: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(np.mean(values)), stderr=stderr, samples=m)
 
 
-def _map_blocks(config: McConfig, run_block: Callable[[range], object]) -> list:
-    """``run_block`` over the scheduling blocks of ``_BLOCK_SIZE`` realization
-    indices, on the pool when ``config.workers`` > 1; results in block order."""
-    blocks = [range(start, min(start + _BLOCK_SIZE, config.samples))
-              for start in range(0, config.samples, _BLOCK_SIZE)]
-    if config.workers == 1 or len(blocks) == 1:
-        return [run_block(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(run_block, blocks))
+def _blocks(config: McConfig) -> list[range]:
+    """The scheduling blocks of ``_BLOCK_SIZE`` realization indices, in order."""
+    return [range(start, min(start + _BLOCK_SIZE, config.samples))
+            for start in range(0, config.samples, _BLOCK_SIZE)]
 
 
-def _map_samples(config: McConfig, background: np.ndarray, bands: Optional[Tridiagonal],
+def _map_samples(config: McConfig, background: Background,
                  kernel: Callable[[HamiltonianSample], object]) -> list:
-    """``kernel`` over every realization, each drawn alone (``sample_potential``)."""
+    """``kernel`` over every realization, each drawn alone (``sample_potential``),
+    on the pool when ``config.workers`` > 1; results in realization-index order."""
     model = config.model
 
     def run_block(block: range) -> list:
@@ -143,15 +138,18 @@ def _map_samples(config: McConfig, background: np.ndarray, bands: Optional[Tridi
             rec = SeedRecord(config.master_seed, i)
             sample = HamiltonianSample(
                 box=model.box, background=background,
-                potential=sample_potential(model.box, model.density, rec),
-                seed_record=rec, bands=bands)
+                potential=sample_potential(model.box, model.density, rec), seed_record=rec)
             try:
                 out.append(kernel(sample))
             except NumericalFault as exc:
                 raise NumericalFault(f"realization {i}: {exc}") from exc
         return out
 
-    return [item for block in _map_blocks(config, run_block) for item in block]
+    blocks = _blocks(config)
+    if config.workers == 1 or len(blocks) == 1:
+        return [item for block in blocks for item in run_block(block)]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return [item for result in pool.map(run_block, blocks) for item in result]
 
 
 def run_realizations(config: McConfig,
@@ -159,29 +157,24 @@ def run_realizations(config: McConfig,
     """Map ``kernel`` over all realizations, in parallel, returning the
     per-realization results in realization-index order."""
     model = config.model
-    background = build_background(model.box, model.background)
-    return _map_samples(config, background,
-                        tridiagonal_bands(model.box, model.background, background), kernel)
+    return _map_samples(config, background_operator(model.box, model.background), kernel)
 
 
 def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
     """The number of eigenvalues in [a, b) of every realization, as an int
     array in realization-index order.  On a tridiagonal model each
-    scheduling block's potentials are drawn in one pass (``sample_potentials``,
-    the same stream as ``sample_potential``) and counted at once
-    (``count_bands``); any other model maps ``count_spectrum`` over samples."""
+    scheduling block's potentials are drawn in one pass (``sample_potentials``)
+    and counted at once (``count_bands``), block after block on the calling
+    thread: the numpy calls hold the interpreter lock, so a pool only adds
+    contention.  Any other model maps ``count_spectrum`` over samples."""
     model = config.model
-    background = build_background(model.box, model.background)
-    bands = tridiagonal_bands(model.box, model.background, background)
-    if bands is None:
-        return np.array(_map_samples(config, background, None,
-                                     lambda s: count_spectrum(s, a, b)), dtype=np.int64)
-
-    def count_block(block: range) -> np.ndarray:
-        potentials = sample_potentials(model.box, model.density, config.master_seed, block)
-        return count_bands(bands, potentials, a, b)
-
-    return np.concatenate(_map_blocks(config, count_block))
+    background = background_operator(model.box, model.background)
+    if not isinstance(background, Tridiagonal):
+        return np.array(_map_samples(config, background, lambda s: count_spectrum(s, a, b)),
+                        dtype=np.int64)
+    potentials = (sample_potentials(model.box, model.density, config.master_seed, block)
+                  for block in _blocks(config))
+    return np.concatenate([count_bands(background, v, a, b) for v in potentials])
 
 
 # ---------------------------------------------------------------------------

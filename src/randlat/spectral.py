@@ -5,11 +5,11 @@ identities for sums of principal minors.  Every spectrum (``spectrum``),
 eigenvalue count in [a, b) (``count_spectrum``) and solve with H - z
 (``green_columns``) of a realization goes through this module.
 
-A tridiagonal sample (a 1D nearest-neighbour chain, see
-``lattice.tridiagonal_bands``) has its spectrum computed and its
-eigenvalues counted on its two bands, and ``count_bands`` counts a whole
-block of such realizations at once; everything else, and every solve,
-works on the dense matrix, which stays the reference for the band path."""
+A sample whose background is a ``lattice.Tridiagonal`` (a 1D chain) has
+its spectrum computed and its eigenvalues counted on its two bands, and
+``count_bands`` counts a whole block of such realizations at once; anything
+else, and every solve, works on the dense ``HamiltonianSample.matrix``,
+which stays the reference for the band path."""
 
 from __future__ import annotations
 
@@ -91,8 +91,9 @@ def eig_hermitian(h) -> SpectralDecomposition:
 
 
 def _bands(h) -> Optional[Tridiagonal]:
-    """The background's bands of a tridiagonal sample; None otherwise."""
-    return h.bands if isinstance(h, HamiltonianSample) else None
+    """The background of a tridiagonal sample; None otherwise."""
+    background = getattr(h, "background", None)
+    return background if isinstance(background, Tridiagonal) else None
 
 
 def spectrum(h) -> np.ndarray:
@@ -102,7 +103,7 @@ def spectrum(h) -> np.ndarray:
     bands = _bands(h)
     if bands is None:
         return np.linalg.eigvalsh(_as_matrix(h))
-    diagonal, off = bands.diagonal + h.potential, bands.off_diagonal
+    diagonal, off = bands.diagonal + h.potential, np.abs(bands.off_diagonal)
     if len(diagonal) == 1:  # the dsterf wrapper rejects an empty off-diagonal
         return diagonal
     from scipy.linalg import lapack  # loads all of scipy.linalg; count_spectrum does not
@@ -145,8 +146,8 @@ def count_bands(bands: Tridiagonal, potentials: np.ndarray, a: float, b: float) 
     each row V of ``potentials`` (B, N), as an int array: the Sturm count
     #{λ < b} - #{λ < a} over the whole block at once, with no spectrum and
     no scipy import."""
-    below = _count_below(bands.diagonal + potentials,
-                         bands.off_diagonal * bands.off_diagonal, np.array([[a], [b]]))
+    below = _count_below(bands.diagonal + potentials, np.abs(bands.off_diagonal) ** 2,
+                         np.array([[a], [b]]))
     return below[1] - below[0]
 
 

@@ -114,6 +114,20 @@ class TestBackground:
             h = rl.build_background(box, spec)
             assert np.array_equal((h != 0) & off_diagonal, unit)
 
+    @pytest.mark.parametrize("sides", [(1,), (7,), (3, 4), (1, 5), (2, 3, 2)])
+    def test_built_as_the_mirrored_upper_triangle(self, sides):
+        # h + h* summed on the bonds alone is the full sum, to the bit
+        box = rl.LatticeBox(sides)
+        specs = background_variants(len(sides)) + [None, rl.Magnetic()]
+        if len(sides) >= 2:
+            specs.append(rl.Magnetic(axis_phases=(0.4, -1.1), field=0.7))
+        for spec in specs:
+            h = rl.build_background(box, spec)
+            upper = np.triu(h, 1)
+            reference = upper + upper.conj().T
+            reference[np.diag_indices(box.n_sites)] = np.diagonal(h)
+            assert reference.dtype == h.dtype and reference.tobytes() == h.tobytes()
+
     def test_magnetic_modulus_matches_zero_phase(self):
         box = rl.LatticeBox((3, 3))
         h_phase = rl.build_background(box, rl.Magnetic(axis_phases=(0.7, 1.3)))

@@ -212,6 +212,41 @@ class TestFracMomentDecay:
                                  0.5, 0.1, 0.5)
 
 
+class TestBackgroundForm:
+    """A 1D nearest-neighbour chain's background is its bands: no run on one
+    builds the dense N x N matrix."""
+
+    class DenseBuild(Exception):
+        pass
+
+    def refuse_dense_builds(self, monkeypatch):
+        def refuse(box, spec):
+            raise self.DenseBuild(box)
+        for module in (rl, rl.lattice, mc, rl.spectral):
+            if hasattr(module, "build_background"):
+                monkeypatch.setattr(module, "build_background", refuse)
+
+    @pytest.mark.parametrize("background", [
+        rl.Laplacian(), rl.PeriodicPotential(period=(2,), values=(0.3, -0.4)),
+        rl.Magnetic(axis_phases=(0.8,)), None])
+    def test_chains_never_build_the_dense_background(self, monkeypatch, background):
+        self.refuse_dense_builds(monkeypatch)
+        cfg = make_config(sides=(40,), background=background, samples=mc._BLOCK_SIZE + 7,
+                          density=rl.Uniform(-1.0, 1.0))
+        assert len(mc.count_realizations(cfg, -0.5, 0.5)) == cfg.samples
+        assert mc.spacing_experiment(cfg, 0.0, 1.0, rate=0.25).counts.size == cfg.samples
+        sample = rl.assemble_fixed(cfg.model.box, background, np.zeros(40))
+        assert sample.matrix.shape == (40, 40)  # built from the bands on request
+
+    def test_two_dimensional_runs_still_build_it(self, monkeypatch):
+        self.refuse_dense_builds(monkeypatch)
+        cfg = make_config(sides=(3, 4), samples=5)
+        with pytest.raises(self.DenseBuild):
+            mc.count_realizations(cfg, -0.5, 0.5)
+        with pytest.raises(self.DenseBuild):
+            mc.run_realizations(cfg, rl.spectral.spectrum)
+
+
 class TestReproducibility:
     def test_bit_identical_across_worker_counts(self):
         for workers in (1, 3, 8):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
+from randlat.lattice import Tridiagonal
 from randlat.spectral import (count_bands, count_in, count_spectrum, elementary_symmetric,
                               green_columns, imag_part, spectrum)
 from conftest import background_variants, random_box, random_triple
@@ -256,7 +257,7 @@ class TestCounting:
         # the Sturm count on exact edges: a diagonal-only chain's eigenvalues
         # are its potential values, here on a and on b
         edges = rl.assemble_fixed(rl.LatticeBox((5,)), None, [0.0, 1.0, 2.0, 1.0, 0.5])
-        assert edges.bands is not None
+        assert isinstance(edges.background, Tridiagonal)
         assert count_spectrum(edges, 0.0, 1.0) == 2
         assert count_spectrum(edges, 1.0, 2.0) == 2
         assert count_spectrum(edges, -math.inf, 1.0) == 2
@@ -342,13 +343,33 @@ class TestTridiagonalPath:
            family=st.sampled_from(sorted(CHAIN_FAMILIES)))
     def test_spectrum_matches_dense(self, seed, n, family):
         sample = chain_sample(seed, n, family)
-        assert sample.bands is not None
+        assert isinstance(sample.background, Tridiagonal)
         w, reference = spectrum(sample), np.linalg.eigvalsh(sample.matrix)
-        if family == "magnetic":  # the bands are real, the matrix complex
+        if family == "magnetic":  # the kernels read the bands' moduli; the matrix is complex
             scale = max(1.0, float(np.abs(reference).max()))
             np.testing.assert_allclose(w, reference, rtol=0, atol=1e-12 * scale)
         else:
             np.testing.assert_array_equal(w, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+           family=st.sampled_from(sorted(CHAIN_FAMILIES)))
+    def test_matrix_equals_the_dense_build(self, seed, n, family):
+        # the bands are built from the same description as build_background,
+        # never read out of it, and .matrix rebuilds the same dense H
+        local = np.random.default_rng(seed)
+        box, spec = rl.LatticeBox((n,)), CHAIN_FAMILIES[family](local)
+        v = local.uniform(-3, 3, size=n)
+        sample = rl.assemble_fixed(box, spec, v)
+        reference = rl.build_background(box, spec)
+        assert isinstance(sample.background, Tridiagonal)
+        np.testing.assert_array_equal(sample.background.diagonal, np.diagonal(reference).real)
+        np.testing.assert_array_equal(sample.background.off_diagonal, np.diagonal(reference, 1))
+        matrix = sample.matrix
+        assert matrix.dtype == reference.dtype
+        assert np.array_equal(matrix, reference + np.diag(v))
+        reference[np.diag_indices(n)] += v  # a dense background's .matrix, to the bit
+        assert matrix.tobytes() == reference.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
@@ -373,7 +394,7 @@ class TestTridiagonalPath:
             potentials = np.where(pick == 1, a, np.where(pick == 2, b, potentials))
         samples = [rl.assemble_fixed(box, spec, v) for v in potentials]
         for lo in (a, -math.inf):
-            counts = count_bands(samples[0].bands, potentials, lo, b)
+            counts = count_bands(samples[0].background, potentials, lo, b)
             assert counts.dtype.kind == "i"
             for count, sample in zip(counts, samples):
                 w = np.linalg.eigvalsh(sample.matrix)
@@ -403,7 +424,9 @@ class TestTridiagonalPath:
         for box, spec in [(rl.LatticeBox((6,)), rl.DecayingHopping(amplitude=1.0, rate=1.2)),
                           (rl.LatticeBox((2, 3)), rl.Laplacian()),
                           (rl.LatticeBox((1, 6)), None)]:
-            assert rl.assemble_fixed(box, spec, np.zeros(6)).bands is None
+            sample = rl.assemble_fixed(box, spec, np.zeros(6))
+            assert isinstance(sample.background, np.ndarray)
+            assert np.array_equal(sample.background, rl.build_background(box, spec))
 
 
 class TestIdentitySweep:
