@@ -453,13 +453,19 @@ class Tridiagonal(NamedTuple):
     diagonal: np.ndarray      # N real entries
     off_diagonal: np.ndarray  # N - 1 entries h_{i, i+1}
 
-    def dense(self, potential: np.ndarray) -> np.ndarray:
-        """The dense matrix of bands + diag(potential)."""
-        i = np.arange(len(self.off_diagonal))
-        return _dense(self.diagonal + potential, [(i, i + 1, self.off_diagonal)])
-
 
 Background = Union[Tridiagonal, np.ndarray]
+
+
+def dense_hamiltonian(background: Background, potential: np.ndarray) -> np.ndarray:
+    """The dense matrix of background + diag(potential), from either form:
+    a fresh array, so the caller may change it."""
+    if isinstance(background, Tridiagonal):
+        i = np.arange(len(background.off_diagonal))
+        return _dense(background.diagonal + potential, [(i, i + 1, background.off_diagonal)])
+    h = background.copy()
+    h[np.diag_indices(len(potential))] += potential
+    return h
 
 
 def background_operator(box: LatticeBox, spec: BackgroundSpec) -> Background:
@@ -483,11 +489,7 @@ class HamiltonianSample:
 
     @property
     def matrix(self) -> np.ndarray:
-        if isinstance(self.background, Tridiagonal):
-            return self.background.dense(self.potential)
-        h = self.background.copy()
-        h[np.diag_indices(self.box.n_sites)] += self.potential
-        return h
+        return dense_hamiltonian(self.background, self.potential)
 
 
 def assemble(box: LatticeBox, spec: BackgroundSpec, density: DisorderDensity,

@@ -5,6 +5,12 @@ states, level-spacing statistics and fractional-moment decay fits.
 Every realization is a pure function of (model, master seed, realization
 index); reduction happens in realization-index order, so results are
 bit-identical for any worker count.
+
+Eigenvalue counts (``wegner``, ``ids``, ``dos``) take one path on every
+background: each scheduling block is drawn and counted at once, on the
+calling thread (``count_realizations``).  The per-sample kernels (Green
+solves, spectra) draw one realization at a time (``run_realizations``);
+``workers`` threads share them on a dense background only.
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Background, BackgroundSpec, DisorderDensity, HamiltonianSample,
+from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
                       LatticeBox, SeedRecord, Tridiagonal, as_integer,
                       background_operator, sample_potential, sample_potentials)
-from .spectral import (NumericalFault, _as_z, check_exponent, count_bands, count_in,
-                       count_spectrum, det_im, green_block, green_columns,
-                       imag_part, spectrum, sum_principal_minors)
+from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
+                       det_im, green_block, green_columns, imag_part, spectrum,
+                       sum_principal_minors)
 
 _BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
 
@@ -126,11 +132,16 @@ def _blocks(config: McConfig) -> list[range]:
             for start in range(0, config.samples, _BLOCK_SIZE)]
 
 
-def _map_samples(config: McConfig, background: Background,
-                 kernel: Callable[[HamiltonianSample], object]) -> list:
-    """``kernel`` over every realization, each drawn alone (``sample_potential``),
-    on the pool when ``config.workers`` > 1; results in realization-index order."""
+def run_realizations(config: McConfig,
+                     kernel: Callable[[HamiltonianSample], object]) -> list:
+    """Map ``kernel`` over all realizations, each drawn alone
+    (``sample_potential``), returning the results in realization-index
+    order.  On a dense background the scheduling blocks go to a pool of
+    ``config.workers`` threads, which overlap its LAPACK calls; a chain's
+    kernels are small numpy calls that hold the interpreter lock, so its
+    blocks run in order on the calling thread."""
     model = config.model
+    background = background_operator(model.box, model.background)
 
     def run_block(block: range) -> list:
         out = []
@@ -146,35 +157,23 @@ def _map_samples(config: McConfig, background: Background,
         return out
 
     blocks = _blocks(config)
-    if config.workers == 1 or len(blocks) == 1:
+    if config.workers == 1 or len(blocks) == 1 or isinstance(background, Tridiagonal):
         return [item for block in blocks for item in run_block(block)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return [item for result in pool.map(run_block, blocks) for item in result]
 
 
-def run_realizations(config: McConfig,
-                     kernel: Callable[[HamiltonianSample], object]) -> list:
-    """Map ``kernel`` over all realizations, in parallel, returning the
-    per-realization results in realization-index order."""
-    model = config.model
-    return _map_samples(config, background_operator(model.box, model.background), kernel)
-
-
 def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
     """The number of eigenvalues in [a, b) of every realization, as an int
-    array in realization-index order.  On a tridiagonal model each
-    scheduling block's potentials are drawn in one pass (``sample_potentials``)
-    and counted at once (``count_bands``), block after block on the calling
-    thread: the numpy calls hold the interpreter lock, so a pool only adds
-    contention.  Any other model maps ``count_spectrum`` over samples."""
+    array in realization-index order.  Each scheduling block's potentials are
+    drawn in one pass (``sample_potentials``) and counted at once
+    (``count_block``), block after block on the calling thread."""
     model = config.model
     background = background_operator(model.box, model.background)
-    if not isinstance(background, Tridiagonal):
-        return np.array(_map_samples(config, background, lambda s: count_spectrum(s, a, b)),
-                        dtype=np.int64)
-    potentials = (sample_potentials(model.box, model.density, config.master_seed, block)
-                  for block in _blocks(config))
-    return np.concatenate([count_bands(background, v, a, b) for v in potentials])
+    return np.concatenate([
+        count_block(background, sample_potentials(model.box, model.density,
+                                                  config.master_seed, block), a, b)
+        for block in _blocks(config)])
 
 
 # ---------------------------------------------------------------------------

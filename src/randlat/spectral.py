@@ -2,14 +2,14 @@
 Green blocks, the rank-n perturbation (Krein) and Schur-complement
 identities, determinants of imaginary parts, and symmetric-function
 identities for sums of principal minors.  Every spectrum (``spectrum``),
-eigenvalue count in [a, b) (``count_spectrum``) and solve with H - z
-(``green_columns``) of a realization goes through this module.
+eigenvalue count in [a, b) of a block of realizations (``count_block``) and
+solve with H - z (``green_columns``) goes through this module.
 
-A sample whose background is a ``lattice.Tridiagonal`` (a 1D chain) has
-its spectrum computed and its eigenvalues counted on its two bands, and
-``count_bands`` counts a whole block of such realizations at once; anything
-else, and every solve, works on the dense ``HamiltonianSample.matrix``,
-which stays the reference for the band path."""
+On a ``lattice.Tridiagonal`` background (a 1D chain) spectra and counts work
+on the two bands, a block's counts by one Sturm sweep; on a dense background
+they work on the dense H (``lattice.dense_hamiltonian``), as every solve
+does.  The dense ``HamiltonianSample.matrix`` stays the reference for the
+band path."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import HamiltonianSample, Tridiagonal, as_integer
+from .lattice import Background, HamiltonianSample, Tridiagonal, as_integer, dense_hamiltonian
 
 
 class NonHermitianError(ValueError):
@@ -106,7 +106,7 @@ def spectrum(h) -> np.ndarray:
     diagonal, off = bands.diagonal + h.potential, np.abs(bands.off_diagonal)
     if len(diagonal) == 1:  # the dsterf wrapper rejects an empty off-diagonal
         return diagonal
-    from scipy.linalg import lapack  # loads all of scipy.linalg; count_spectrum does not
+    from scipy.linalg import lapack  # loads all of scipy.linalg; count_block does not
     w, info = lapack.dsterf(diagonal, off)
     if info:
         raise NumericalFault(f"dsterf: {info} off-diagonal entries did not converge")
@@ -141,24 +141,19 @@ def _count_below(diagonals: np.ndarray, off_squared: np.ndarray, x: np.ndarray) 
     return count + (pivot < 0)
 
 
-def count_bands(bands: Tridiagonal, potentials: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Eigenvalue counts in [a, b) of the realizations bands + diag(V) for
-    each row V of ``potentials`` (B, N), as an int array: the Sturm count
-    #{λ < b} - #{λ < a} over the whole block at once, with no spectrum and
-    no scipy import."""
-    below = _count_below(bands.diagonal + potentials, np.abs(bands.off_diagonal) ** 2,
-                         np.array([[a], [b]]))
-    return below[1] - below[0]
-
-
-def count_spectrum(h, a: float, b: float) -> int:
-    """Number of eigenvalues of a sample or matrix in [a, b).  A tridiagonal
-    sample is the one-row case of ``count_bands``; anything else is counted
-    as ``count_in(spectrum(h), a, b)``."""
-    bands = _bands(h)
-    if bands is None:
-        return count_in(spectrum(h), a, b)
-    return int(count_bands(bands, h.potential[None, :], a, b)[0])
+def count_block(background: Background, potentials: np.ndarray, a: float,
+                b: float) -> np.ndarray:
+    """Eigenvalue counts in [a, b) of the realizations background + diag(V)
+    for each row V of ``potentials`` (B, N), as an int array.  On a
+    tridiagonal background, the Sturm count #{λ < b} - #{λ < a} over the
+    whole block at once, with no spectrum and no scipy import; on a dense
+    one, ``count_in`` of each row's ``eigvalsh`` spectrum."""
+    if isinstance(background, Tridiagonal):
+        below = _count_below(background.diagonal + potentials,
+                             np.abs(background.off_diagonal) ** 2, np.array([[a], [b]]))
+        return below[1] - below[0]
+    return np.array([count_in(np.linalg.eigvalsh(dense_hamiltonian(background, v)), a, b)
+                     for v in potentials], dtype=np.int64)
 
 
 def green_columns(h, z, sites: Sequence[int],

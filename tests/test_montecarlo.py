@@ -247,6 +247,32 @@ class TestBackgroundForm:
             mc.run_realizations(cfg, rl.spectral.spectrum)
 
 
+class TestCallingThread:
+    """Counts on every background, and every kernel on a chain, run on the
+    calling thread; only a dense model's per-sample kernels use the pool.
+    Counts draw each block at once, never one realization at a time."""
+
+    def test_chains_and_counts_never_reach_the_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("realizations went to the thread pool")
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+        cfg = make_config(sides=(8,), samples=mc._BLOCK_SIZE + 7, workers=8)
+        assert mc.mc_minami(cfg, 0.5 + 0.1j, [3, 4]).estimate.samples == cfg.samples
+        assert mc.frac_moment_decay(cfg, 0.5, 0.1, 0.5).distances.size == 7
+        dense = make_config(sides=(3, 4), samples=mc._BLOCK_SIZE + 7, workers=8)
+        assert len(mc.count_realizations(dense, -0.5, 0.5)) == dense.samples
+
+    @pytest.mark.parametrize("sides, background", [
+        ((3, 4), rl.Laplacian()), ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
+    def test_dense_counts_draw_whole_blocks(self, monkeypatch, sides, background):
+        def refuse(*args):
+            raise AssertionError("a count drew one realization at a time")
+        monkeypatch.setattr(mc, "sample_potential", refuse)
+        cfg = make_config(sides=sides, background=background,
+                          samples=mc._BLOCK_SIZE + 7, workers=3)
+        assert len(mc.count_realizations(cfg, -0.5, 0.5)) == cfg.samples
+
+
 class TestReproducibility:
     def test_bit_identical_across_worker_counts(self):
         for workers in (1, 3, 8):
@@ -267,12 +293,14 @@ class TestReproducibility:
                                 mc.estimate_ids(cfg, 0.7))
         assert results[1] == results[3] == results[8]
 
-    def test_block_boundary_independence(self):
+    @pytest.mark.parametrize("sides", [pytest.param((6,), id="chain"),
+                                       pytest.param((4, 4), id="dense")])  # dense: on the pool
+    def test_block_boundary_independence(self, sides):
         # more samples than one scheduling block
         big = mc._BLOCK_SIZE + 37
         vals = {}
         for workers in (1, 4):
-            cfg = make_config(sides=(6,), samples=big, seed=5, workers=workers)
+            cfg = make_config(sides=sides, samples=big, seed=5, workers=workers)
             vals[workers] = mc.run_realizations(
                 cfg, lambda s: float(np.linalg.eigvalsh(s.matrix)[0]))
         assert vals[1] == vals[4]
@@ -282,7 +310,7 @@ class TestReproducibility:
         ((7,), rl.PeriodicPotential(period=(2,), values=(0.3, -0.4))),
         ((7,), rl.Magnetic(axis_phases=(0.8,))),
         ((7,), None),
-        ((2, 3), rl.Laplacian()),          # dense: maps count_spectrum over samples
+        ((2, 3), rl.Laplacian()),          # dense: eigvalsh of each row
         ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2)),
     ])
     def test_counts_match_per_sample_reference(self, sides, background):

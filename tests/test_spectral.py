@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import randlat as rl
 from randlat.lattice import Tridiagonal
-from randlat.spectral import (count_bands, count_in, count_spectrum, elementary_symmetric,
-                              green_columns, imag_part, spectrum)
+from randlat.spectral import (count_block, count_in, elementary_symmetric, green_columns,
+                              imag_part, spectrum)
 from conftest import background_variants, random_box, random_triple
 
 
@@ -19,6 +19,11 @@ CHAIN_FAMILIES = {
     "magnetic": lambda local: rl.Magnetic(axis_phases=(float(local.uniform(-4, 4)),)),
     "none": lambda local: None,
 }
+
+
+def count_one(sample, a, b):
+    """``count_block`` on the one-row block of ``sample``'s potential."""
+    return int(count_block(sample.background, sample.potential[None, :], a, b)[0])
 
 
 def chain_sample(seed, n, family):
@@ -258,14 +263,14 @@ class TestCounting:
         # are its potential values, here on a and on b
         edges = rl.assemble_fixed(rl.LatticeBox((5,)), None, [0.0, 1.0, 2.0, 1.0, 0.5])
         assert isinstance(edges.background, Tridiagonal)
-        assert count_spectrum(edges, 0.0, 1.0) == 2
-        assert count_spectrum(edges, 1.0, 2.0) == 2
-        assert count_spectrum(edges, -math.inf, 1.0) == 2
-        assert count_spectrum(edges, 2.0, 3.0) == 1
+        assert count_one(edges, 0.0, 1.0) == 2
+        assert count_one(edges, 1.0, 2.0) == 2
+        assert count_one(edges, -math.inf, 1.0) == 2
+        assert count_one(edges, 2.0, 3.0) == 1
         # a zero pivot behind a non-zero coupling: eigenvalues exactly -1 and 1
         pair = rl.assemble_fixed(rl.LatticeBox((2,)), rl.Laplacian(), [0.0, 0.0])
-        assert count_spectrum(pair, -1.0, 1.0) == 1
-        assert count_spectrum(pair, 1.0, 2.0) == 1
+        assert count_one(pair, -1.0, 1.0) == 1
+        assert count_one(pair, 1.0, 2.0) == 1
 
 
 class TestWedgeCount:
@@ -378,8 +383,8 @@ class TestTridiagonalPath:
         sample = chain_sample(seed, n, family)
         reference = np.linalg.eigvalsh(sample.matrix)
         a, b = np.sort(np.random.default_rng(seed + 1).uniform(-6.0, 8.0, size=2))
-        assert count_spectrum(sample, a, b) == count_in(reference, a, b)
-        assert count_spectrum(sample, -math.inf, b) == count_in(reference, -math.inf, b)
+        assert count_one(sample, a, b) == count_in(reference, a, b)
+        assert count_one(sample, -math.inf, b) == count_in(reference, -math.inf, b)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), rows=st.integers(1, 6),
@@ -394,7 +399,7 @@ class TestTridiagonalPath:
             potentials = np.where(pick == 1, a, np.where(pick == 2, b, potentials))
         samples = [rl.assemble_fixed(box, spec, v) for v in potentials]
         for lo in (a, -math.inf):
-            counts = count_bands(samples[0].background, potentials, lo, b)
+            counts = count_block(samples[0].background, potentials, lo, b)
             assert counts.dtype.kind == "i"
             for count, sample in zip(counts, samples):
                 w = np.linalg.eigvalsh(sample.matrix)
