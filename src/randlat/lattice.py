@@ -1,7 +1,9 @@
 """Finite lattice boxes, background operators, disorder densities and
 assembly of single-realization Hamiltonians H = H0 + diag(V).  A
 background is a 1D chain's ``Tridiagonal`` bands or a dense matrix
-(``background_operator``), both built from one description.  Potentials
+(``background_operator``), both built from one description, which also
+gives a nearest-neighbour model's slices along axis 0 for Green sweeps
+(``slice_operator``, ``BlockTridiagonal``).  Potentials
 are drawn per realization (``sample_potential``) or for a block of
 realizations in one vectorized pass of the same stream (``sample_potentials``)."""
 
@@ -455,6 +457,35 @@ class Tridiagonal(NamedTuple):
 
 
 Background = Union[Tridiagonal, np.ndarray]
+
+
+class BlockTridiagonal(NamedTuple):
+    """A nearest-neighbour background in slices along axis 0: slice k holds
+    the m = s_2 * ... * s_d sites with x_0 = k, consecutive in the
+    lexicographic order.  Bonds along axes 1..d-1 stay inside a slice; a bond
+    along axis 0 joins site r of slice k to site r of slice k + 1, so each
+    coupling block is diagonal.  A chain is m = 1."""
+
+    blocks: np.ndarray     # (s_1, m, m): the background on each slice
+    couplings: np.ndarray  # (s_1 - 1, m): h_{x, x + m} for the sites x of slice k
+
+
+def slice_operator(box: LatticeBox, spec: BackgroundSpec) -> Union[BlockTridiagonal, np.ndarray]:
+    """The background for a slice-by-slice Green sweep: a nearest-neighbour
+    model's ``BlockTridiagonal`` form, built with no N x N array, else the
+    dense matrix (``build_background``)."""
+    if not isinstance(spec, _NEAREST_NEIGHBOUR):
+        return build_background(box, spec)
+    diagonal, [(_, _, along_axis0), *inside] = _nearest_neighbour(box, spec)
+    slices, m = box.sides[0], box.n_sites // box.sides[0]
+    blocks = np.zeros((slices, m, m),
+                      dtype=np.result_type(diagonal, along_axis0, *(v for _, _, v in inside)))
+    k, r = np.divmod(np.arange(box.n_sites), m)
+    blocks[k, r, r] = diagonal
+    for i, j, values in inside:  # i and j share a slice
+        blocks[i // m, i % m, j % m], blocks[i // m, j % m, i % m] = values, np.conj(values)
+    # the axis-0 bonds are (x, x + m) for x < (s_1 - 1) m, in order
+    return BlockTridiagonal(blocks, along_axis0.reshape(slices - 1, m))
 
 
 def dense_hamiltonian(background: Background, potential: np.ndarray) -> np.ndarray:

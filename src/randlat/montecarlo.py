@@ -8,9 +8,12 @@ bit-identical for any worker count.
 
 Eigenvalue counts (``wegner``, ``ids``, ``dos``) take one path on every
 background: each scheduling block is drawn and counted at once, on the
-calling thread (``count_realizations``).  The per-sample kernels (Green
-solves, spectra) draw one realization at a time (``run_realizations``);
-``workers`` threads share them on a dense background only.
+calling thread (``count_realizations``).  ``mc_minami`` draws each block at
+once too and computes det Im g for all of it (``det_im_block``), with
+``workers`` threads sharing the blocks unless the model is a chain.  The
+per-sample kernels (the Green solves of ``frac_moment_decay``, spectra)
+draw one realization at a time (``run_realizations``); ``workers`` threads
+share them on a dense background only.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (BackgroundSpec, DisorderDensity, HamiltonianSample,
+from .lattice import (BackgroundSpec, BlockTridiagonal, DisorderDensity, HamiltonianSample,
                       LatticeBox, SeedRecord, Tridiagonal, as_integer,
-                      background_operator, sample_potential, sample_potentials)
+                      background_operator, sample_potential, sample_potentials,
+                      slice_operator)
 from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
-                       det_im, green_block, green_columns, imag_part, spectrum,
+                       det_im_block, green_columns, imag_part, spectrum,
                        sum_principal_minors)
 
 _BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
@@ -156,11 +160,19 @@ def run_realizations(config: McConfig,
                 raise NumericalFault(f"realization {i}: {exc}") from exc
         return out
 
+    return [item for result in _map_blocks(config, run_block,
+                                           pooled=not isinstance(background, Tridiagonal))
+            for item in result]
+
+
+def _map_blocks(config: McConfig, run_block: Callable[[range], object], pooled: bool) -> list:
+    """``run_block`` of every scheduling block, in block order: on a pool of
+    ``config.workers`` threads if ``pooled``, else on the calling thread."""
     blocks = _blocks(config)
-    if config.workers == 1 or len(blocks) == 1 or isinstance(background, Tridiagonal):
-        return [item for block in blocks for item in run_block(block)]
+    if not pooled or config.workers == 1 or len(blocks) == 1:
+        return [run_block(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return [item for result in pool.map(run_block, blocks) for item in result]
+        return list(pool.map(run_block, blocks))
 
 
 def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
@@ -182,13 +194,27 @@ def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
 
 def mc_minami(config: McConfig, z, indices: Sequence[int]) -> BoundCheck:
     """Mean of det Im g over realizations vs the bound
-    (pi * sup_density)^n for a subset of n sites."""
+    (pi * sup_density)^n for a subset of n sites.  Each scheduling block is
+    drawn in one pass (``sample_potentials``) and reduced at once
+    (``det_im_block``): by the slice sweep on a nearest-neighbour background,
+    by one dense solve per realization otherwise."""
     zc = _as_z(z)
-    n = len(indices)
-    vals = run_realizations(
-        config, lambda s: det_im(green_block(s, zc, indices, "full")))
-    bound = (math.pi * config.model.density.sup_density) ** n
-    return BoundCheck(estimate=_estimate(np.array(vals)), bound=bound)
+    model = config.model
+    operator = slice_operator(model.box, model.background)
+
+    def run_block(block: range) -> np.ndarray:
+        potentials = sample_potentials(model.box, model.density, config.master_seed, block)
+        try:
+            return det_im_block(operator, potentials, zc, indices)
+        except NumericalFault as exc:
+            raise NumericalFault(f"realization {block[exc.row]}: {exc}") from exc
+
+    # a chain's sweep is elementwise numpy, which holds the interpreter lock;
+    # a slice's matrix inverses and a dense solve are LAPACK calls, which overlap
+    chain = isinstance(operator, BlockTridiagonal) and operator.blocks.shape[1] == 1
+    vals = np.concatenate(_map_blocks(config, run_block, pooled=not chain))
+    bound = (math.pi * model.density.sup_density) ** len(indices)
+    return BoundCheck(estimate=_estimate(vals), bound=bound)
 
 
 def mc_wegner_nlevel(config: McConfig, interval: tuple[float, float],

@@ -2,14 +2,17 @@
 Green blocks, the rank-n perturbation (Krein) and Schur-complement
 identities, determinants of imaginary parts, and symmetric-function
 identities for sums of principal minors.  Every spectrum (``spectrum``),
-eigenvalue count in [a, b) of a block of realizations (``count_block``) and
-solve with H - z (``green_columns``) goes through this module.
+eigenvalue count in [a, b) of a block of realizations (``count_block``),
+solve with H - z (``green_columns``) and det Im g of a block of
+realizations (``det_im_block``) goes through this module.
 
 On a ``lattice.Tridiagonal`` background (a 1D chain) spectra and counts work
 on the two bands, a block's counts by one Sturm sweep; on a dense background
-they work on the dense H (``lattice.dense_hamiltonian``), as every solve
-does.  The dense ``HamiltonianSample.matrix`` stays the reference for the
-band path."""
+they work on the dense H (``lattice.dense_hamiltonian``), as the per-sample
+solves of ``green_columns`` do.  ``det_im_block`` sweeps a nearest-neighbour
+model's slices (``lattice.BlockTridiagonal``) for a whole block at once, and
+solves a dense one row by row.  The dense ``HamiltonianSample.matrix``, with
+``green_block`` and ``det_im`` on it, stays the reference for both paths."""
 
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import Background, HamiltonianSample, Tridiagonal, as_integer, dense_hamiltonian
+from .lattice import (Background, BlockTridiagonal, HamiltonianSample, Tridiagonal, as_integer,
+                      dense_hamiltonian)
 
 
 class NonHermitianError(ValueError):
@@ -29,7 +33,12 @@ class NonHermitianError(ValueError):
 
 class NumericalFault(RuntimeError):
     """A numerical invariant was violated (positivity, convergence,
-    internal cross-check)."""
+    internal cross-check).  ``row`` is the index of the first failing
+    matrix when the check ran on a stack of them."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 EIG_TOL = 1e-10
@@ -180,17 +189,22 @@ def resolvent(h, z) -> np.ndarray:
 
 
 def imag_part(m: np.ndarray) -> np.ndarray:
-    """Operator imaginary part (M - M*)/2i; a Hermitian matrix."""
-    return (m - m.conj().T) / 2j
+    """Operator imaginary part (M - M*)/2i; a Hermitian matrix, or a stack
+    (..., n, n) of them."""
+    return (m - np.swapaxes(m, -1, -2).conj()) / 2j
 
 
-def _log_det_positive(m: np.ndarray, name: str) -> float:
-    """log det of a Hermitian positive-definite matrix from its
-    eigenvalues; NumericalFault if one is below -POSITIVITY_TOL."""
+def _log_det_positive(m: np.ndarray, name: str):
+    """log det of a Hermitian positive-definite matrix, or of each one in a
+    stack (..., n, n), from its eigenvalues; NumericalFault if one is below
+    -POSITIVITY_TOL, naming the first such matrix of a stack as its ``row``."""
     w = np.linalg.eigvalsh(m)
-    if w.min() < -POSITIVITY_TOL:
-        raise NumericalFault(f"{name} has eigenvalue {w.min()}, expected positive")
-    return float(np.sum(np.log(np.maximum(w, np.finfo(float).tiny))))
+    lowest = w.min(axis=-1)
+    bad = np.flatnonzero(lowest < -POSITIVITY_TOL)
+    if bad.size:
+        raise NumericalFault(f"{name} has eigenvalue {lowest.flat[bad[0]]}, expected positive",
+                             row=int(bad[0]) if m.ndim > 2 else None)
+    return np.sum(np.log(np.maximum(w, np.finfo(float).tiny)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +258,80 @@ def det_im(block: Union[GreenBlock, np.ndarray]) -> float:
     computed from eigenvalues in log space."""
     m = block.matrix if isinstance(block, GreenBlock) else np.asarray(block)
     return float(np.exp(_log_det_positive(imag_part(m), "imaginary part")))
+
+
+def det_im_block(operator: Union[BlockTridiagonal, np.ndarray], potentials: np.ndarray, z,
+                 indices: Sequence[int]) -> np.ndarray:
+    """det Im g for g the full Green block on ``indices`` of each realization
+    operator + diag(V), V a row of ``potentials`` (B, N): a (B,) array, row b
+    equal to ``det_im(green_block(sample_b, z, indices))`` to rounding and the
+    same whatever the other rows.  On a ``BlockTridiagonal`` operator, the
+    slice sweep ``_slice_green`` over many rows at once; on a dense one, one
+    row's ``green_columns`` at a time.  A non-positive Im g raises
+    NumericalFault with the first failing row as its ``row``."""
+    zc = _as_z(z)
+    idx = list(_check_subset(potentials.shape[1], indices))
+    if isinstance(operator, BlockTridiagonal):
+        g = _slice_green(operator, potentials, zc, idx)
+    else:
+        g = np.stack([green_columns(dense_hamiltonian(operator, v), zc, idx)[idx]
+                      for v in potentials])
+    return np.exp(_log_det_positive(imag_part(g), "imaginary part"))
+
+
+_STACK_BYTES = 1 << 17  # size of the (rows, M, M) complex stack one sweep solves; sets its rows
+
+
+def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex,
+                 idx: list[int]) -> np.ndarray:
+    """(B, n, n): the Green block on the sites ``idx`` of every row, by the
+    recursive Green's function sweep (MacKinnon & Kramer, Z. Phys. B 53, 1983).
+    The slices left of the first slice holding a site of ``idx``, and right of
+    the last, are folded into self-energies by Schur complements, one slice at a
+    time: with C = diag(c_k) the coupling of slice k to k + 1 and g the inverse
+    of slice k's block of H - z less the self-energy so far, the next slice's
+    is C* g C (left) or C g C* (right).  Only the M sites of the slices in
+    between are solved densely, for a few rows at a time (``_STACK_BYTES``).
+    On a chain (m = 1) every block is a scalar and the sweep is a continued
+    fraction, elementwise over the rows."""
+    slices, m = operator.blocks.shape[:2]
+    first, last = min(idx) // m, max(idx) // m
+    shifted, c = operator.blocks - zc * np.eye(m), operator.couplings
+    size = (last - first + 1) * m
+    span = np.zeros((size, size), dtype=complex)  # H - z on the span, less the potential
+    for j in range(last - first + 1):
+        span[j * m:(j + 1) * m, j * m:(j + 1) * m] = shifted[first + j]
+    upper = np.arange(size - m)  # site x of the span and x + m, one slice on
+    span[upper, upper + m] = c[first:last].ravel()
+    span[upper + m, upper] = c[first:last].conj().ravel()
+    local = [i - first * m for i in idx]
+    unit = np.zeros((size, len(idx)), dtype=complex)
+    unit[local, range(len(idx))] = 1.0
+
+    inv = np.reciprocal if m == 1 else np.linalg.inv
+    diag = np.arange(m)
+
+    def block(v: np.ndarray, k: int, sigma: np.ndarray) -> np.ndarray:
+        """Slice k of H - z less sigma, for the rows' potentials v."""
+        a = shifted[k] - sigma
+        a[:, diag, diag] += v[:, k * m:(k + 1) * m]
+        return a
+
+    out = []
+    step = max(1, _STACK_BYTES // (16 * size * size))
+    for start in range(0, len(potentials), step):
+        v = potentials[start:start + step]
+        left = right = np.zeros((len(v), m, m), dtype=complex)
+        for k in range(first):
+            left = c[k].conj()[:, None] * inv(block(v, k, left)) * c[k]
+        for k in range(slices - 1, last, -1):
+            right = c[k - 1][:, None] * inv(block(v, k, right)) * c[k - 1].conj()
+        h = np.repeat(span[None], len(v), axis=0)
+        h[:, range(size), range(size)] += v[:, first * m:(last + 1) * m]
+        h[:, :m, :m] -= left
+        h[:, -m:, -m:] -= right
+        out.append(np.linalg.solve(h, unit)[:, local])
+    return np.concatenate(out)
 
 
 def krein_check(sample: HamiltonianSample, z, indices: Sequence[int]) -> float:

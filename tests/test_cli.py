@@ -408,6 +408,17 @@ class TestImports:
                 "print('scipy.linalg' in sys.modules)")
         assert self.run_python(code, json.dumps(configs)) == "False"
 
+    def test_2d_minami_leaves_scipy_linalg_unloaded(self):
+        # the slice sweep is numpy alone; importing scipy.linalg would take about
+        # as long as the whole setup of a 2D minami run
+        raw = dict(MINAMI_CONFIG, model=dict(MINAMI_CONFIG["model"], sides=[6, 5]),
+                   experiment={"name": "minami", "z": [0.5, 0.1], "delta": [13, 14],
+                               "samples": 20})
+        code = ("import json, sys; from randlat import cli\n"
+                "cli.run_experiment(cli.parse_config(json.loads(sys.argv[1])))\n"
+                "print('scipy.linalg' in sys.modules)")
+        assert self.run_python(code, json.dumps(raw)) == "False"
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):

@@ -249,8 +249,9 @@ class TestBackgroundForm:
 
 class TestCallingThread:
     """Counts on every background, and every kernel on a chain, run on the
-    calling thread; only a dense model's per-sample kernels use the pool.
-    Counts draw each block at once, never one realization at a time."""
+    calling thread; only the kernels of a model off a chain use the pool.
+    Counts and minami draw each block at once, never one realization at a
+    time."""
 
     def test_chains_and_counts_never_reach_the_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -261,6 +262,18 @@ class TestCallingThread:
         assert mc.frac_moment_decay(cfg, 0.5, 0.1, 0.5).distances.size == 7
         dense = make_config(sides=(3, 4), samples=mc._BLOCK_SIZE + 7, workers=8)
         assert len(mc.count_realizations(dense, -0.5, 0.5)) == dense.samples
+
+    @pytest.mark.parametrize("sides, background", [
+        ((8,), rl.Laplacian()), ((3, 4), rl.Laplacian()),
+        ((2, 3, 2), rl.Magnetic(axis_phases=(0.3,), field=0.5)),
+        ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
+    def test_minami_draws_whole_blocks(self, monkeypatch, sides, background):
+        def refuse(*args):
+            raise AssertionError("minami drew one realization at a time")
+        monkeypatch.setattr(mc, "sample_potential", refuse)
+        cfg = make_config(sides=sides, background=background,
+                          samples=mc._BLOCK_SIZE + 7, workers=2)
+        assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 2]).estimate.samples == cfg.samples
 
     @pytest.mark.parametrize("sides, background", [
         ((3, 4), rl.Laplacian()), ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
@@ -275,13 +288,54 @@ class TestCallingThread:
 
 class TestReproducibility:
     def test_bit_identical_across_worker_counts(self):
-        for workers in (1, 3, 8):
-            cfg = make_config(samples=130, seed=42, workers=workers)
-            chk = mc.mc_minami(cfg, 0.5 + 0.1j, [2, 3])
-            if workers == 1:
-                reference = chk
-            else:
-                assert chk.estimate == reference.estimate
+        # a chain's sweep runs on the calling thread; a 2D box's blocks on the pool
+        for sides, samples, sites in [((10,), 130, [2, 3]), ((4, 5), mc._BLOCK_SIZE + 37, [6, 12])]:
+            for workers in (1, 2, 3, 8):
+                cfg = make_config(sides=sides, samples=samples, seed=42, workers=workers)
+                chk = mc.mc_minami(cfg, 0.5 + 0.1j, sites)
+                if workers == 1:
+                    reference = chk
+                else:
+                    assert chk.estimate == reference.estimate
+
+    @pytest.mark.parametrize("sides, background", [
+        ((10,), rl.Laplacian()), ((4, 5), rl.Magnetic(axis_phases=(0.2, 0.5), field=0.3)),
+        ((10,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
+    def test_minami_rows_bit_identical_whatever_the_block(self, monkeypatch, sides, background):
+        # a 7-sample run is the prefix of a run over more than one scheduling
+        # block, realization by realization, and one-row sweeps change nothing
+        values = []
+        monkeypatch.setattr(mc, "_estimate", lambda v: values.append(v) or mc.McEstimate(0, 0, 0))
+        for samples, workers in [(7, 1), (mc._BLOCK_SIZE + 37, 2)]:
+            cfg = make_config(sides=sides, background=background, samples=samples, workers=workers)
+            mc.mc_minami(cfg, 0.3 + 0.2j, [3, 9])
+        monkeypatch.setattr(rl.spectral, "_STACK_BYTES", 1)
+        mc.mc_minami(make_config(sides=sides, background=background, samples=7), 0.3 + 0.2j, [3, 9])
+        small, big, one_row = values
+        assert small.tobytes() == big[:7].tobytes() == one_row.tobytes()
+
+    # at these seeds the realization of least Im g is 275, in the second
+    # scheduling block, on the chain and 255, the last of the first, on the box
+    @pytest.mark.parametrize("sides, seed", [((6,), 11), ((3, 4), 9)])
+    @pytest.mark.parametrize("failing", ["all", "least"])
+    def test_minami_fault_names_the_first_failing_realization(self, monkeypatch, sides, seed,
+                                                              failing):
+        # as the per-sample reference path does, whichever scheduling block fails
+        cfg = make_config(sides=sides, samples=mc._BLOCK_SIZE + 37, seed=seed, workers=2)
+        z, sites = 0.5 + 0.1j, [4]
+
+        def lowest(sample):  # the smallest eigenvalue of Im g, here Im g itself
+            return float(rl.green_block(sample, z, sites).matrix[0, 0].imag)
+
+        lows = np.array(mc.run_realizations(cfg, lowest))
+        threshold = math.inf if failing == "all" else np.sort(lows)[1]
+        expected = int(np.flatnonzero(lows < threshold)[0])
+        assert expected == (0 if failing == "all" else {(6,): 275, (3, 4): 255}[sides])
+        monkeypatch.setattr(rl.spectral, "POSITIVITY_TOL", -threshold)
+        with pytest.raises(rl.NumericalFault, match=f"^realization {expected}: imaginary part"):
+            mc.mc_minami(cfg, z, sites)
+        with pytest.raises(rl.NumericalFault, match=f"^realization {expected}: imaginary part"):
+            mc.run_realizations(cfg, lambda s: rl.det_im(rl.green_block(s, z, sites)))
 
     @pytest.mark.parametrize("samples", [130, mc._BLOCK_SIZE + 37])
     def test_counts_bit_identical_across_worker_counts(self, samples):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import randlat as rl
 from randlat.lattice import Tridiagonal
-from randlat.spectral import (count_block, count_in, elementary_symmetric, green_columns,
-                              imag_part, spectrum)
+from randlat.spectral import (count_block, count_in, det_im, det_im_block, elementary_symmetric,
+                              green_block, green_columns, imag_part, spectrum)
 from conftest import background_variants, random_box, random_triple
 
 
@@ -432,6 +432,90 @@ class TestTridiagonalPath:
             sample = rl.assemble_fixed(box, spec, np.zeros(6))
             assert isinstance(sample.background, np.ndarray)
             assert np.array_equal(sample.background, rl.build_background(box, spec))
+
+
+BOX_FAMILIES = {
+    "laplacian": lambda local, d: rl.Laplacian(),
+    "periodic": lambda local, d: rl.PeriodicPotential(
+        period=(2,) * d, values=tuple(local.uniform(-2, 2, size=2 ** d))),
+    "magnetic": lambda local, d: rl.Magnetic(
+        axis_phases=tuple(local.uniform(-4, 4, size=int(local.integers(0, d + 1)))),
+        field=float(local.uniform(-2, 2)) if d >= 2 else 0.0),
+    "none": lambda local, d: None,
+    "decaying": lambda local, d: rl.DecayingHopping(amplitude=1.0,
+                                                    rate=float(local.uniform(0.5, 2))),
+}
+
+
+def slice_sites(local, box, layout, n):
+    """n sites of ``box`` in one slice along axis 0, in two adjacent slices or
+    in two slices at least two apart, with at least one site in each slice."""
+    s, m = box.sides[0], box.n_sites // box.sides[0]
+    if layout == "one":
+        ks = [int(local.integers(0, s))]
+    else:
+        first = int(local.integers(0, s - (1 if layout == "adjacent" else 2)))
+        ks = [first, first + 1 if layout == "adjacent" else int(local.integers(first + 2, s))]
+    pool = [k * m + r for k in ks for r in range(m)]
+    n = min(max(n, len(ks)), len(pool))
+    picked = [int(local.choice(pool[i * m:(i + 1) * m])) for i in range(len(ks))]
+    rest = [x for x in pool if x not in picked]
+    return picked + [int(x) for x in local.choice(rest, size=n - len(picked), replace=False)]
+
+
+class TestDetImBlock:
+    """The batched det Im g (the slice sweep on a nearest-neighbour model, the
+    dense solve row by row otherwise) against the per-sample dense reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
+           family=st.sampled_from(sorted(BOX_FAMILIES)),
+           layout=st.sampled_from(["one", "adjacent", "far"]), n=st.integers(1, 3),
+           rows=st.integers(1, 4))
+    def test_matches_the_dense_reference(self, seed, d, family, layout, n, rows):
+        local = np.random.default_rng(seed)
+        first_side = int(local.integers(3, 9 if d == 1 else 6))
+        box = rl.LatticeBox((first_side,) + tuple(int(x) for x in local.integers(1, 4, size=d - 1)))
+        spec = BOX_FAMILIES[family](local, d)
+        sites = slice_sites(local, box, layout, n)
+        z = complex(local.uniform(-3, 4), local.uniform(0.02, 1.5))
+        potentials = local.uniform(-2, 2, size=(rows, box.n_sites))
+        operator = rl.lattice.slice_operator(box, spec)
+        assert isinstance(operator, rl.lattice.BlockTridiagonal) == (family != "decaying")
+        values = det_im_block(operator, potentials, z, sites)
+        reference = [det_im(green_block(rl.assemble_fixed(box, spec, v), z, sites, "full"))
+                     for v in potentials]
+        np.testing.assert_allclose(values, reference, rtol=1e-10, atol=0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sides=st.sampled_from([(9,), (4, 3), (3, 2, 2)]),
+           layout=st.sampled_from(["one", "adjacent", "far"]))
+    def test_rows_do_not_depend_on_the_batch(self, seed, sides, layout):
+        # every row alone, in the whole batch, and in sweeps of one row each
+        local = np.random.default_rng(seed)
+        box = rl.LatticeBox(sides)
+        operator = rl.lattice.slice_operator(box, rl.Magnetic(axis_phases=(0.3, 0.9), field=0.2)
+                                             if len(sides) > 1 else rl.Laplacian())
+        sites = slice_sites(local, box, layout, 2)
+        potentials = local.uniform(-2, 2, size=(9, box.n_sites))
+        together = det_im_block(operator, potentials, 0.4 + 0.2j, sites)
+        alone = np.concatenate([det_im_block(operator, v[None], 0.4 + 0.2j, sites)
+                                for v in potentials])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rl.spectral, "_STACK_BYTES", 1)
+            one_row_sweeps = det_im_block(operator, potentials, 0.4 + 0.2j, sites)
+        assert together.tobytes() == alone.tobytes() == one_row_sweeps.tobytes()
+
+    def test_names_the_first_row_with_a_non_positive_im_g(self, monkeypatch):
+        box = rl.LatticeBox((4, 3))
+        operator = rl.lattice.slice_operator(box, rl.Laplacian())
+        potentials = np.random.default_rng(3).uniform(-1, 1, size=(6, 12))
+        values = det_im_block(operator, potentials, 0.5 + 0.1j, [4])  # Im g = det Im g here
+        threshold = np.sort(values)[2]  # the three smallest rows fail
+        monkeypatch.setattr(rl.spectral, "POSITIVITY_TOL", -threshold)
+        with pytest.raises(rl.NumericalFault, match="imaginary part has eigenvalue") as fault:
+            det_im_block(operator, potentials, 0.5 + 0.1j, [4])
+        assert fault.value.row == int(np.flatnonzero(values < threshold)[0])
 
 
 class TestIdentitySweep:
