@@ -464,18 +464,19 @@ class BlockTridiagonal(NamedTuple):
     the m = s_2 * ... * s_d sites with x_0 = k, consecutive in the
     lexicographic order.  Bonds along axes 1..d-1 stay inside a slice; a bond
     along axis 0 joins site r of slice k to site r of slice k + 1, so each
-    coupling block is diagonal.  A chain is m = 1."""
+    coupling block is diagonal.  A 1D chain keeps its ``Tridiagonal`` bands,
+    which are its slices of m = 1 site."""
 
     blocks: np.ndarray     # (s_1, m, m): the background on each slice
     couplings: np.ndarray  # (s_1 - 1, m): h_{x, x + m} for the sites x of slice k
 
 
-def slice_operator(box: LatticeBox, spec: BackgroundSpec) -> Union[BlockTridiagonal, np.ndarray]:
+def slice_operator(box: LatticeBox, spec: BackgroundSpec) -> Union[Background, BlockTridiagonal]:
     """The background for a slice-by-slice Green sweep: a nearest-neighbour
-    model's ``BlockTridiagonal`` form, built with no N x N array, else the
-    dense matrix (``build_background``)."""
-    if not isinstance(spec, _NEAREST_NEIGHBOUR):
-        return build_background(box, spec)
+    model's ``BlockTridiagonal`` form in d >= 2, built with no N x N array,
+    else ``background_operator``'s (a chain's bands or the dense matrix)."""
+    if box.dimension == 1 or not isinstance(spec, _NEAREST_NEIGHBOUR):
+        return background_operator(box, spec)
     diagonal, [(_, _, along_axis0), *inside] = _nearest_neighbour(box, spec)
     slices, m = box.sides[0], box.n_sites // box.sides[0]
     blocks = np.zeros((slices, m, m),

@@ -9,11 +9,11 @@ bit-identical for any worker count.
 Eigenvalue counts (``wegner``, ``ids``, ``dos``) take one path on every
 background: each scheduling block is drawn and counted at once, on the
 calling thread (``count_realizations``).  ``mc_minami`` draws each block at
-once too and computes det Im g for all of it (``det_im_block``), with
-``workers`` threads sharing the blocks unless the model is a chain.  The
+once too and computes det Im g for all of it (``det_im_block``).  The
 per-sample kernels (the Green solves of ``frac_moment_decay``, spectra)
-draw one realization at a time (``run_realizations``); ``workers`` threads
-share them on a dense background only.
+draw one realization at a time (``run_realizations``).  For both,
+``workers`` threads share the blocks unless the model is a 1D chain
+(``_map_blocks``).
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import (BackgroundSpec, BlockTridiagonal, DisorderDensity, HamiltonianSample,
-                      LatticeBox, SeedRecord, Tridiagonal, as_integer,
+from .lattice import (Background, BackgroundSpec, BlockTridiagonal, DisorderDensity,
+                      HamiltonianSample, LatticeBox, SeedRecord, Tridiagonal, as_integer,
                       background_operator, sample_potential, sample_potentials,
                       slice_operator)
 from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
@@ -140,10 +140,7 @@ def run_realizations(config: McConfig,
                      kernel: Callable[[HamiltonianSample], object]) -> list:
     """Map ``kernel`` over all realizations, each drawn alone
     (``sample_potential``), returning the results in realization-index
-    order.  On a dense background the scheduling blocks go to a pool of
-    ``config.workers`` threads, which overlap its LAPACK calls; a chain's
-    kernels are small numpy calls that hold the interpreter lock, so its
-    blocks run in order on the calling thread."""
+    order; the scheduling blocks are shared as ``_map_blocks`` says."""
     model = config.model
     background = background_operator(model.box, model.background)
 
@@ -160,16 +157,18 @@ def run_realizations(config: McConfig,
                 raise NumericalFault(f"realization {i}: {exc}") from exc
         return out
 
-    return [item for result in _map_blocks(config, run_block,
-                                           pooled=not isinstance(background, Tridiagonal))
-            for item in result]
+    return [item for result in _map_blocks(config, run_block, background) for item in result]
 
 
-def _map_blocks(config: McConfig, run_block: Callable[[range], object], pooled: bool) -> list:
-    """``run_block`` of every scheduling block, in block order: on a pool of
-    ``config.workers`` threads if ``pooled``, else on the calling thread."""
+def _map_blocks(config: McConfig, run_block: Callable[[range], object],
+                operator: Union[Background, BlockTridiagonal]) -> list:
+    """``run_block`` of every scheduling block, in block order.  A chain's
+    (``Tridiagonal``) kernels are small numpy calls that hold the interpreter
+    lock, so its blocks run on the calling thread; any other ``operator``'s
+    blocks go to a pool of ``config.workers`` threads, which overlap their
+    LAPACK calls."""
     blocks = _blocks(config)
-    if not pooled or config.workers == 1 or len(blocks) == 1:
+    if isinstance(operator, Tridiagonal) or config.workers == 1 or len(blocks) == 1:
         return [run_block(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(run_block, blocks))
@@ -209,10 +208,7 @@ def mc_minami(config: McConfig, z, indices: Sequence[int]) -> BoundCheck:
         except NumericalFault as exc:
             raise NumericalFault(f"realization {block[exc.row]}: {exc}") from exc
 
-    # a chain's sweep is elementwise numpy, which holds the interpreter lock;
-    # a slice's matrix inverses and a dense solve are LAPACK calls, which overlap
-    chain = isinstance(operator, BlockTridiagonal) and operator.blocks.shape[1] == 1
-    vals = np.concatenate(_map_blocks(config, run_block, pooled=not chain))
+    vals = np.concatenate(_map_blocks(config, run_block, operator))
     bound = (math.pi * model.density.sup_density) ** len(indices)
     return BoundCheck(estimate=_estimate(vals), bound=bound)
 

@@ -260,43 +260,51 @@ def det_im(block: Union[GreenBlock, np.ndarray]) -> float:
     return float(np.exp(_log_det_positive(imag_part(m), "imaginary part")))
 
 
-def det_im_block(operator: Union[BlockTridiagonal, np.ndarray], potentials: np.ndarray, z,
-                 indices: Sequence[int]) -> np.ndarray:
+def det_im_block(operator: Union[Tridiagonal, BlockTridiagonal, np.ndarray],
+                 potentials: np.ndarray, z, indices: Sequence[int]) -> np.ndarray:
     """det Im g for g the full Green block on ``indices`` of each realization
     operator + diag(V), V a row of ``potentials`` (B, N): a (B,) array, row b
     equal to ``det_im(green_block(sample_b, z, indices))`` to rounding and the
-    same whatever the other rows.  On a ``BlockTridiagonal`` operator, the
-    slice sweep ``_slice_green`` over many rows at once; on a dense one, one
-    row's ``green_columns`` at a time.  A non-positive Im g raises
-    NumericalFault with the first failing row as its ``row``."""
+    same whatever the other rows.  On a chain's ``Tridiagonal`` bands or a
+    ``BlockTridiagonal`` operator, the slice sweep ``_slice_green`` over many
+    rows at once; on a dense one, one row's ``green_columns`` at a time.  A
+    non-positive Im g raises NumericalFault with the first failing row as its
+    ``row``."""
     zc = _as_z(z)
     idx = list(_check_subset(potentials.shape[1], indices))
-    if isinstance(operator, BlockTridiagonal):
-        g = _slice_green(operator, potentials, zc, idx)
-    else:
+    if isinstance(operator, np.ndarray):
         g = np.stack([green_columns(dense_hamiltonian(operator, v), zc, idx)[idx]
                       for v in potentials])
+    else:
+        g = _slice_green(operator, potentials, zc, idx)
     return np.exp(_log_det_positive(imag_part(g), "imaginary part"))
 
 
-_STACK_BYTES = 1 << 17  # size of the (rows, M, M) complex stack one sweep solves; sets its rows
+# size of each stack of matrices the slice sweep works on, which sets its rows:
+# the (rows, m, m) folds and the (rows, M, M) span solves each stay in cache
+_STACK_BYTES = 1 << 17
 
 
-def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex,
-                 idx: list[int]) -> np.ndarray:
+def _slice_green(operator: Union[Tridiagonal, BlockTridiagonal], potentials: np.ndarray,
+                 zc: complex, idx: list[int]) -> np.ndarray:
     """(B, n, n): the Green block on the sites ``idx`` of every row, by the
     recursive Green's function sweep (MacKinnon & Kramer, Z. Phys. B 53, 1983).
     The slices left of the first slice holding a site of ``idx``, and right of
     the last, are folded into self-energies by Schur complements, one slice at a
-    time: with C = diag(c_k) the coupling of slice k to k + 1 and g the inverse
-    of slice k's block of H - z less the self-energy so far, the next slice's
-    is C* g C (left) or C g C* (right).  Only the M sites of the slices in
-    between are solved densely, for a few rows at a time (``_STACK_BYTES``).
-    On a chain (m = 1) every block is a scalar and the sweep is a continued
-    fraction, elementwise over the rows."""
-    slices, m = operator.blocks.shape[:2]
+    time: with C = diag(c_k) the coupling of slice k to k + 1 and
+    g the inverse of slice k's block of H - z less the self-energy so far, the
+    next slice's is C* g C (left) or C g C* (right).  Only the M sites of the
+    slices in between are solved densely.  Both steps take a few rows at a
+    time (``_STACK_BYTES``).  A chain's bands are slices of m = 1 site: every
+    block is a scalar and the sweep is a continued fraction, elementwise over
+    the rows."""
+    if isinstance(operator, Tridiagonal):
+        blocks, c = operator.diagonal[:, None, None], operator.off_diagonal[:, None]
+    else:
+        blocks, c = operator
+    slices, m = blocks.shape[:2]
     first, last = min(idx) // m, max(idx) // m
-    shifted, c = operator.blocks - zc * np.eye(m), operator.couplings
+    shifted = blocks - zc * np.eye(m)
     size = (last - first + 1) * m
     span = np.zeros((size, size), dtype=complex)  # H - z on the span, less the potential
     for j in range(last - first + 1):
@@ -305,8 +313,8 @@ def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex
     span[upper, upper + m] = c[first:last].ravel()
     span[upper + m, upper] = c[first:last].conj().ravel()
     local = [i - first * m for i in idx]
-    unit = np.zeros((size, len(idx)), dtype=complex)
-    unit[local, range(len(idx))] = 1.0
+    unit = np.zeros((1, size, len(idx)), dtype=complex)  # one matrix, not a stack of vectors
+    unit[0, local, range(len(idx))] = 1.0
 
     inv = np.reciprocal if m == 1 else np.linalg.inv
     diag = np.arange(m)
@@ -317,20 +325,25 @@ def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex
         a[:, diag, diag] += v[:, k * m:(k + 1) * m]
         return a
 
+    def rows(stack: int) -> int:
+        """Rows per stack of (rows, stack, stack) complex entries."""
+        return max(1, _STACK_BYTES // (16 * stack * stack))
+
     out = []
-    step = max(1, _STACK_BYTES // (16 * size * size))
-    for start in range(0, len(potentials), step):
-        v = potentials[start:start + step]
+    for start in range(0, len(potentials), rows(m)):
+        v = potentials[start:start + rows(m)]
         left = right = np.zeros((len(v), m, m), dtype=complex)
         for k in range(first):
             left = c[k].conj()[:, None] * inv(block(v, k, left)) * c[k]
         for k in range(slices - 1, last, -1):
             right = c[k - 1][:, None] * inv(block(v, k, right)) * c[k - 1].conj()
-        h = np.repeat(span[None], len(v), axis=0)
-        h[:, range(size), range(size)] += v[:, first * m:(last + 1) * m]
-        h[:, :m, :m] -= left
-        h[:, -m:, -m:] -= right
-        out.append(np.linalg.solve(h, unit)[:, local])
+        for part in range(0, len(v), rows(size)):
+            r = slice(part, part + rows(size))
+            h = np.repeat(span[None], len(v[r]), axis=0)
+            h[:, range(size), range(size)] += v[r, first * m:(last + 1) * m]
+            h[:, :m, :m] -= left[r]
+            h[:, -m:, -m:] -= right[r]
+            out.append(np.linalg.solve(h, unit)[:, local])
     return np.concatenate(out)
 
 

@@ -151,7 +151,8 @@ class TestBackground:
     def test_slices_are_the_dense_build_to_the_bit(self, sides):
         # the slice form comes from the same description as build_background:
         # its blocks are the dense diagonal blocks, its couplings the diagonals
-        # of the blocks one slice on, and every other entry is 0
+        # of the blocks one slice on, and every other entry is 0; a chain's
+        # form is its bands, slices of one site
         box = rl.LatticeBox(sides)
         specs = background_variants(len(sides))[:3] + [None]
         if len(sides) >= 2:
@@ -159,16 +160,20 @@ class TestBackground:
         s, m = sides[0], box.n_sites // sides[0]
         for spec in specs:
             form, dense = rl.lattice.slice_operator(box, spec), rl.build_background(box, spec)
-            assert isinstance(form, rl.lattice.BlockTridiagonal)
-            assert form.blocks.shape == (s, m, m) and form.couplings.shape == (s - 1, m)
+            if len(sides) == 1:
+                assert isinstance(form, rl.lattice.Tridiagonal)
+                blocks, couplings = form.diagonal[:, None, None], form.off_diagonal[:, None]
+            else:
+                assert isinstance(form, rl.lattice.BlockTridiagonal)
+                blocks, couplings = form
+            assert blocks.shape == (s, m, m) and couplings.shape == (s - 1, m)
             rebuilt = np.zeros_like(dense)
             for k in range(s):
-                rebuilt[k * m:(k + 1) * m, k * m:(k + 1) * m] = form.blocks[k]
+                rebuilt[k * m:(k + 1) * m, k * m:(k + 1) * m] = blocks[k]
             for k in range(s - 1):
-                rebuilt[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.diag(form.couplings[k])
-                rebuilt[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] = np.diag(
-                    form.couplings[k].conj())
-            assert rebuilt.dtype == dense.dtype and rebuilt.tobytes() == dense.tobytes()
+                rebuilt[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.diag(couplings[k])
+                rebuilt[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] = np.diag(couplings[k].conj())
+            assert rebuilt.tobytes() == dense.tobytes()
 
     def test_decaying_slices_stay_dense(self):
         box, spec = rl.LatticeBox((2, 3)), rl.DecayingHopping(amplitude=1.0, rate=1.2)

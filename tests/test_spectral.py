@@ -481,7 +481,9 @@ class TestDetImBlock:
         z = complex(local.uniform(-3, 4), local.uniform(0.02, 1.5))
         potentials = local.uniform(-2, 2, size=(rows, box.n_sites))
         operator = rl.lattice.slice_operator(box, spec)
-        assert isinstance(operator, rl.lattice.BlockTridiagonal) == (family != "decaying")
+        form = (np.ndarray if family == "decaying"
+                else Tridiagonal if d == 1 else rl.lattice.BlockTridiagonal)
+        assert isinstance(operator, form)
         values = det_im_block(operator, potentials, z, sites)
         reference = [det_im(green_block(rl.assemble_fixed(box, spec, v), z, sites, "full"))
                      for v in potentials]
@@ -491,7 +493,8 @@ class TestDetImBlock:
     @given(seed=st.integers(0, 2 ** 32 - 1), sides=st.sampled_from([(9,), (4, 3), (3, 2, 2)]),
            layout=st.sampled_from(["one", "adjacent", "far"]))
     def test_rows_do_not_depend_on_the_batch(self, seed, sides, layout):
-        # every row alone, in the whole batch, and in sweeps of one row each
+        # every row alone, in the whole batch, in sweeps of one row each, and
+        # in folds of several rows whose span solves take fewer
         local = np.random.default_rng(seed)
         box = rl.LatticeBox(sides)
         operator = rl.lattice.slice_operator(box, rl.Magnetic(axis_phases=(0.3, 0.9), field=0.2)
@@ -501,10 +504,31 @@ class TestDetImBlock:
         together = det_im_block(operator, potentials, 0.4 + 0.2j, sites)
         alone = np.concatenate([det_im_block(operator, v[None], 0.4 + 0.2j, sites)
                                 for v in potentials])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rl.spectral, "_STACK_BYTES", 1)
-            one_row_sweeps = det_im_block(operator, potentials, 0.4 + 0.2j, sites)
-        assert together.tobytes() == alone.tobytes() == one_row_sweeps.tobytes()
+        chunked = []
+        for stack_bytes in (1, 2500):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rl.spectral, "_STACK_BYTES", stack_bytes)
+                chunked.append(det_im_block(operator, potentials, 0.4 + 0.2j, sites).tobytes())
+        assert together.tobytes() == alone.tobytes() == chunked[0] == chunked[1]
+
+    @pytest.mark.parametrize("sides, sites", [((6,), [2]), ((6,), [1, 4]), ((4, 3), [4, 5]),
+                                              ((4, 3), [1, 10]), ((3, 2, 2), [4])])
+    def test_span_solve_reads_the_same_on_numpy_1(self, monkeypatch, sides, sites):
+        # NumPy 1.x reads solve's b as a stack of vectors whenever
+        # b.ndim == a.ndim - 1, where NumPy 2 reads one matrix; the span solve
+        # must pass its right-hand side so that both rules give the same bits
+        box = rl.LatticeBox(sides)
+        operator = rl.lattice.slice_operator(box, rl.Laplacian())
+        potentials = np.random.default_rng(8).uniform(-1, 1, size=(5, box.n_sites))
+        values = det_im_block(operator, potentials, 0.5 + 0.1j, sites)
+        solve = np.linalg.solve
+
+        def numpy1_solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return solve(a, b[..., None])[..., 0] if b.ndim == a.ndim - 1 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        assert det_im_block(operator, potentials, 0.5 + 0.1j, sites).tobytes() == values.tobytes()
 
     def test_names_the_first_row_with_a_non_positive_im_g(self, monkeypatch):
         box = rl.LatticeBox((4, 3))
