@@ -1,9 +1,9 @@
 """Finite lattice boxes, background operators, disorder densities and
 assembly of single-realization Hamiltonians H = H0 + diag(V).  A
-background is a 1D chain's ``Tridiagonal`` bands or a dense matrix
-(``background_operator``), both built from one description, which also
-gives a nearest-neighbour model's slices along axis 0 for Green sweeps
-(``slice_operator``, ``BlockTridiagonal``).  Potentials
+nearest-neighbour background is its slices along axis 0 in any dimension
+(``BlockTridiagonal``; a chain's are single sites), a ``decaying`` one its
+dense matrix (``build_background``, the reference for both); one builder,
+``background_operator``, gives either form.  Potentials
 are drawn per realization (``sample_potential``) or for a block of
 realizations in one vectorized pass of the same stream (``sample_potentials``)."""
 
@@ -154,8 +154,8 @@ class DecayingHopping:
 
 
 BackgroundSpec = Union[Laplacian, PeriodicPotential, Magnetic, DecayingHopping, None]
-# Backgrounds whose bonds join nearest neighbours only: on a 1D box each
-# realization is tridiagonal.  None is the diagonal-only test hook.
+# Backgrounds whose bonds join nearest neighbours only: each realization is
+# block tridiagonal in slices along axis 0.  None is the diagonal-only test hook.
 _NEAREST_NEIGHBOUR = (Laplacian, PeriodicPotential, Magnetic, type(None))
 
 
@@ -221,10 +221,16 @@ def _dense(diagonal: np.ndarray, bonds: list) -> np.ndarray:
     n = len(diagonal)
     h = np.zeros((n, n), dtype=np.result_type(float, *(v for _, _, v in bonds)))
     zero = h.dtype.type(0)
-    for i, j, values in bonds:  # each of h's dtype
-        h[i, j], h[j, i] = values + np.conj(zero), zero + np.conj(values)
+    for i, j, values in bonds:
+        h[i, j], h[j, i] = _mirrored(values, zero)
     h[np.diag_indices(n)] = diagonal
     return h
+
+
+def _mirrored(values: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
+    """Entries h_ij and h_ji of bonds with values h_ij, as h + h* writes
+    them in ``zero``'s dtype: each value plus the conjugate of its mirror's 0."""
+    return values + np.conj(zero), zero + np.conj(values)
 
 
 def _nn_bonds(box: LatticeBox, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -446,73 +452,60 @@ def sample_potentials(box: LatticeBox, density: DisorderDensity, master_seed: in
     return density.ppf(u)
 
 
-class Tridiagonal(NamedTuple):
-    """A 1D nearest-neighbour chain's background by its two bands, the upper
-    one as built (complex on a magnetic chain).  The spectral kernels read
-    its moduli: a Hermitian tridiagonal matrix is unitarily similar, by a
-    diagonal gauge, to the real one with off-diagonal |h_{i, i+1}|."""
-
-    diagonal: np.ndarray      # N real entries
-    off_diagonal: np.ndarray  # N - 1 entries h_{i, i+1}
-
-
-Background = Union[Tridiagonal, np.ndarray]
-
-
 class BlockTridiagonal(NamedTuple):
     """A nearest-neighbour background in slices along axis 0: slice k holds
     the m = s_2 * ... * s_d sites with x_0 = k, consecutive in the
-    lexicographic order.  Bonds along axes 1..d-1 stay inside a slice; a bond
-    along axis 0 joins site r of slice k to site r of slice k + 1, so each
-    coupling block is diagonal.  A 1D chain keeps its ``Tridiagonal`` bands,
-    which are its slices of m = 1 site."""
+    lexicographic order, so a 1D chain's slices are its sites (m = 1).
+    Bonds along axes 1..d-1 stay inside a slice; a bond along axis 0 joins
+    site r of slice k to site r of slice k + 1, so each coupling block is
+    diagonal."""
 
     blocks: np.ndarray     # (s_1, m, m): the background on each slice
     couplings: np.ndarray  # (s_1 - 1, m): h_{x, x + m} for the sites x of slice k
 
 
-def slice_operator(box: LatticeBox, spec: BackgroundSpec) -> Union[Background, BlockTridiagonal]:
-    """The background for a slice-by-slice Green sweep: a nearest-neighbour
-    model's ``BlockTridiagonal`` form in d >= 2, built with no N x N array,
-    else ``background_operator``'s (a chain's bands or the dense matrix)."""
-    if box.dimension == 1 or not isinstance(spec, _NEAREST_NEIGHBOUR):
-        return background_operator(box, spec)
+Background = Union[BlockTridiagonal, np.ndarray]
+
+
+def background_operator(box: LatticeBox, spec: BackgroundSpec) -> Background:
+    """The background on ``box``: a nearest-neighbour model's slices, built
+    with no N x N array, else the dense matrix (``build_background``)."""
+    if not isinstance(spec, _NEAREST_NEIGHBOUR):
+        return build_background(box, spec)
     diagonal, [(_, _, along_axis0), *inside] = _nearest_neighbour(box, spec)
     slices, m = box.sides[0], box.n_sites // box.sides[0]
     blocks = np.zeros((slices, m, m),
                       dtype=np.result_type(diagonal, along_axis0, *(v for _, _, v in inside)))
     k, r = np.divmod(np.arange(box.n_sites), m)
     blocks[k, r, r] = diagonal
+    zero = blocks.dtype.type(0)
     for i, j, values in inside:  # i and j share a slice
-        blocks[i // m, i % m, j % m], blocks[i // m, j % m, i % m] = values, np.conj(values)
+        blocks[i // m, i % m, j % m], blocks[i // m, j % m, i % m] = _mirrored(values, zero)
     # the axis-0 bonds are (x, x + m) for x < (s_1 - 1) m, in order
     return BlockTridiagonal(blocks, along_axis0.reshape(slices - 1, m))
 
 
 def dense_hamiltonian(background: Background, potential: np.ndarray) -> np.ndarray:
-    """The dense matrix of background + diag(potential), from either form:
-    a fresh array, so the caller may change it."""
-    if isinstance(background, Tridiagonal):
-        i = np.arange(len(background.off_diagonal))
-        return _dense(background.diagonal + potential, [(i, i + 1, background.off_diagonal)])
-    h = background.copy()
+    """The dense matrix of background + diag(potential), from either form to
+    the bit as ``build_background`` gives it: a fresh array, free to change."""
+    if isinstance(background, np.ndarray):
+        h = background.copy()
+    else:
+        blocks, couplings = background
+        slices, m = blocks.shape[:2]
+        h = np.zeros((slices * m, slices * m), dtype=blocks.dtype)
+        k = np.arange(slices)
+        h.reshape(slices, m, slices, m)[k, :, k, :] = blocks
+        x = np.arange(couplings.size)  # site x and x + m, one slice on
+        h[x, x + m], h[x + m, x] = _mirrored(couplings.ravel(), h.dtype.type(0))
     h[np.diag_indices(len(potential))] += potential
     return h
-
-
-def background_operator(box: LatticeBox, spec: BackgroundSpec) -> Background:
-    """The background on ``box``: a 1D nearest-neighbour chain's bands, built
-    with no N x N array, else the dense matrix (``build_background``)."""
-    if box.dimension == 1 and isinstance(spec, _NEAREST_NEIGHBOUR):
-        diagonal, [(_, _, off_diagonal)] = _nearest_neighbour(box, spec)
-        return Tridiagonal(diagonal, off_diagonal)
-    return build_background(box, spec)
 
 
 @dataclass(frozen=True)
 class HamiltonianSample:
     """One disorder realization H = background + diag(potential), with the
-    background as ``background_operator`` builds it; ``matrix`` is the dense H."""
+    background in either form; ``matrix`` is the dense H, built on each call."""
 
     box: LatticeBox
     background: Background = field(repr=False)

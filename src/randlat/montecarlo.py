@@ -6,13 +6,14 @@ Every realization is a pure function of (model, master seed, realization
 index); reduction happens in realization-index order, so results are
 bit-identical for any worker count.
 
-Eigenvalue counts (``wegner``, ``ids``, ``dos``) take one path on every
-background: each scheduling block is drawn and counted at once, on the
+Every run holds ``background_operator``'s form: no N x N background unless
+the model is ``decaying``.  Eigenvalue counts (``wegner``, ``ids``, ``dos``)
+take one path: each scheduling block is drawn and counted at once, on the
 calling thread (``count_realizations``).  ``mc_minami`` draws each block at
 once too and computes det Im g for all of it (``det_im_block``).  The
 per-sample kernels (the Green solves of ``frac_moment_decay``, spectra)
 draw one realization at a time (``run_realizations``).  For both,
-``workers`` threads share the blocks unless the model is a 1D chain
+``workers`` threads share the blocks unless the model is a chain
 (``_map_blocks``).
 """
 
@@ -21,16 +22,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Background, BackgroundSpec, BlockTridiagonal, DisorderDensity,
-                      HamiltonianSample, LatticeBox, SeedRecord, Tridiagonal, as_integer,
-                      background_operator, sample_potential, sample_potentials,
-                      slice_operator)
-from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
-                       det_im_block, green_columns, imag_part, spectrum,
+from .lattice import (Background, BackgroundSpec, DisorderDensity, HamiltonianSample,
+                      LatticeBox, SeedRecord, as_integer, background_operator,
+                      sample_potential, sample_potentials)
+from .spectral import (NumericalFault, _as_z, _chain_bands, check_exponent, count_block,
+                       count_in, det_im_block, green_columns, imag_part, spectrum,
                        sum_principal_minors)
 
 _BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
@@ -161,14 +161,14 @@ def run_realizations(config: McConfig,
 
 
 def _map_blocks(config: McConfig, run_block: Callable[[range], object],
-                operator: Union[Background, BlockTridiagonal]) -> list:
-    """``run_block`` of every scheduling block, in block order.  A chain's
-    (``Tridiagonal``) kernels are small numpy calls that hold the interpreter
-    lock, so its blocks run on the calling thread; any other ``operator``'s
-    blocks go to a pool of ``config.workers`` threads, which overlap their
-    LAPACK calls."""
+                operator: Background) -> list:
+    """``run_block`` of every scheduling block, in block order.  The kernels
+    of a chain (slices of m = 1 site) are small numpy calls that hold the
+    interpreter lock, so its blocks run on the calling thread; any other
+    ``operator``'s blocks go to a pool of ``config.workers`` threads, which
+    overlap their LAPACK calls."""
     blocks = _blocks(config)
-    if isinstance(operator, Tridiagonal) or config.workers == 1 or len(blocks) == 1:
+    if _chain_bands(operator) is not None or config.workers == 1 or len(blocks) == 1:
         return [run_block(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(run_block, blocks))
@@ -199,7 +199,7 @@ def mc_minami(config: McConfig, z, indices: Sequence[int]) -> BoundCheck:
     by one dense solve per realization otherwise."""
     zc = _as_z(z)
     model = config.model
-    operator = slice_operator(model.box, model.background)
+    operator = background_operator(model.box, model.background)
 
     def run_block(block: range) -> np.ndarray:
         potentials = sample_potentials(model.box, model.density, config.master_seed, block)

@@ -6,12 +6,12 @@ eigenvalue count in [a, b) of a block of realizations (``count_block``),
 solve with H - z (``green_columns``) and det Im g of a block of
 realizations (``det_im_block``) goes through this module.
 
-On a ``lattice.Tridiagonal`` background (a 1D chain) spectra and counts work
-on the two bands, a block's counts by one Sturm sweep; on a dense background
-they work on the dense H (``lattice.dense_hamiltonian``), as the per-sample
-solves of ``green_columns`` do.  ``det_im_block`` sweeps a nearest-neighbour
-model's slices (``lattice.BlockTridiagonal``) for a whole block at once, and
-solves a dense one row by row.  The dense ``HamiltonianSample.matrix``, with
+On slices of one site (``lattice.BlockTridiagonal`` of a chain, or of a box
+such as (N, 1)) spectra and counts work on the two bands, a block's counts by
+one Sturm sweep; on any other background they work on the dense H
+(``lattice.dense_hamiltonian``), as the per-sample solves of ``green_columns``
+do.  ``det_im_block`` sweeps the slices for a whole block at once, and solves
+a dense background row by row.  The dense ``HamiltonianSample.matrix``, with
 ``green_block`` and ``det_im`` on it, stays the reference for both paths."""
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import (Background, BlockTridiagonal, HamiltonianSample, Tridiagonal, as_integer,
-                      dense_hamiltonian)
+from .lattice import Background, BlockTridiagonal, HamiltonianSample, as_integer, dense_hamiltonian
 
 
 class NonHermitianError(ValueError):
@@ -99,20 +98,23 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def _bands(h) -> Optional[Tridiagonal]:
-    """The background of a tridiagonal sample; None otherwise."""
-    background = getattr(h, "background", None)
-    return background if isinstance(background, Tridiagonal) else None
+def _chain_bands(background) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The real diagonal and off-diagonal moduli of slices of one site, else
+    None: a Hermitian tridiagonal matrix is unitarily similar, by a diagonal
+    gauge, to the real one with off-diagonal |h_{i, i+1}|."""
+    if isinstance(background, BlockTridiagonal) and background.blocks.shape[1] == 1:
+        return background.blocks[:, 0, 0].real, np.abs(background.couplings[:, 0])
+    return None
 
 
 def spectrum(h) -> np.ndarray:
     """Ascending eigenvalues of a sample or matrix.  No Hermiticity check:
     this is the per-realization hot path.  A tridiagonal sample goes to
     LAPACK dsterf (root-free QR) on its bands, O(N^2) in place of O(N^3)."""
-    bands = _bands(h)
+    bands = _chain_bands(getattr(h, "background", None))
     if bands is None:
         return np.linalg.eigvalsh(_as_matrix(h))
-    diagonal, off = bands.diagonal + h.potential, np.abs(bands.off_diagonal)
+    diagonal, off = bands[0] + h.potential, bands[1]
     if len(diagonal) == 1:  # the dsterf wrapper rejects an empty off-diagonal
         return diagonal
     from scipy.linalg import lapack  # loads all of scipy.linalg; count_block does not
@@ -153,13 +155,13 @@ def _count_below(diagonals: np.ndarray, off_squared: np.ndarray, x: np.ndarray) 
 def count_block(background: Background, potentials: np.ndarray, a: float,
                 b: float) -> np.ndarray:
     """Eigenvalue counts in [a, b) of the realizations background + diag(V)
-    for each row V of ``potentials`` (B, N), as an int array.  On a
-    tridiagonal background, the Sturm count #{λ < b} - #{λ < a} over the
-    whole block at once, with no spectrum and no scipy import; on a dense
-    one, ``count_in`` of each row's ``eigvalsh`` spectrum."""
-    if isinstance(background, Tridiagonal):
-        below = _count_below(background.diagonal + potentials,
-                             np.abs(background.off_diagonal) ** 2, np.array([[a], [b]]))
+    for each row V of ``potentials`` (B, N), as an int array.  On slices of
+    one site, the Sturm count #{λ < b} - #{λ < a} over the whole block at
+    once, with no spectrum and no scipy import; on any other background,
+    ``count_in`` of each row's ``eigvalsh`` spectrum of the dense H."""
+    bands = _chain_bands(background)
+    if bands is not None:
+        below = _count_below(bands[0] + potentials, bands[1] ** 2, np.array([[a], [b]]))
         return below[1] - below[0]
     return np.array([count_in(np.linalg.eigvalsh(dense_hamiltonian(background, v)), a, b)
                      for v in potentials], dtype=np.int64)
@@ -260,16 +262,15 @@ def det_im(block: Union[GreenBlock, np.ndarray]) -> float:
     return float(np.exp(_log_det_positive(imag_part(m), "imaginary part")))
 
 
-def det_im_block(operator: Union[Tridiagonal, BlockTridiagonal, np.ndarray],
-                 potentials: np.ndarray, z, indices: Sequence[int]) -> np.ndarray:
+def det_im_block(operator: Background, potentials: np.ndarray, z,
+                 indices: Sequence[int]) -> np.ndarray:
     """det Im g for g the full Green block on ``indices`` of each realization
     operator + diag(V), V a row of ``potentials`` (B, N): a (B,) array, row b
     equal to ``det_im(green_block(sample_b, z, indices))`` to rounding and the
-    same whatever the other rows.  On a chain's ``Tridiagonal`` bands or a
-    ``BlockTridiagonal`` operator, the slice sweep ``_slice_green`` over many
-    rows at once; on a dense one, one row's ``green_columns`` at a time.  A
-    non-positive Im g raises NumericalFault with the first failing row as its
-    ``row``."""
+    same whatever the other rows.  On a ``BlockTridiagonal`` operator, the
+    slice sweep ``_slice_green`` over many rows at once; on a dense one, one
+    row's ``green_columns`` at a time.  A non-positive Im g raises
+    NumericalFault with the first failing row as its ``row``."""
     zc = _as_z(z)
     idx = list(_check_subset(potentials.shape[1], indices))
     if isinstance(operator, np.ndarray):
@@ -285,8 +286,8 @@ def det_im_block(operator: Union[Tridiagonal, BlockTridiagonal, np.ndarray],
 _STACK_BYTES = 1 << 17
 
 
-def _slice_green(operator: Union[Tridiagonal, BlockTridiagonal], potentials: np.ndarray,
-                 zc: complex, idx: list[int]) -> np.ndarray:
+def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex,
+                 idx: list[int]) -> np.ndarray:
     """(B, n, n): the Green block on the sites ``idx`` of every row, by the
     recursive Green's function sweep (MacKinnon & Kramer, Z. Phys. B 53, 1983).
     The slices left of the first slice holding a site of ``idx``, and right of
@@ -295,13 +296,9 @@ def _slice_green(operator: Union[Tridiagonal, BlockTridiagonal], potentials: np.
     g the inverse of slice k's block of H - z less the self-energy so far, the
     next slice's is C* g C (left) or C g C* (right).  Only the M sites of the
     slices in between are solved densely.  Both steps take a few rows at a
-    time (``_STACK_BYTES``).  A chain's bands are slices of m = 1 site: every
-    block is a scalar and the sweep is a continued fraction, elementwise over
-    the rows."""
-    if isinstance(operator, Tridiagonal):
-        blocks, c = operator.diagonal[:, None, None], operator.off_diagonal[:, None]
-    else:
-        blocks, c = operator
+    time (``_STACK_BYTES``).  On slices of m = 1 site (a chain) every block is
+    a scalar and the sweep is a continued fraction, elementwise over the rows."""
+    blocks, c = operator
     slices, m = blocks.shape[:2]
     first, last = min(idx) // m, max(idx) // m
     shifted = blocks - zc * np.eye(m)

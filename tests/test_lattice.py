@@ -152,21 +152,23 @@ class TestBackground:
         # the slice form comes from the same description as build_background:
         # its blocks are the dense diagonal blocks, its couplings the diagonals
         # of the blocks one slice on, and every other entry is 0; a chain's
-        # form is its bands, slices of one site
+        # slices are single sites.  dense_hamiltonian rebuilds H from them
+        # as the dense background plus diag(V) would give it
         box = rl.LatticeBox(sides)
         specs = background_variants(len(sides))[:3] + [None]
         if len(sides) >= 2:
             specs.append(rl.Magnetic(axis_phases=(0.4, -1.1), field=0.7))
         s, m = sides[0], box.n_sites // sides[0]
+        v = np.random.default_rng(7).uniform(-2, 2, size=box.n_sites)
+        assert np.all(v != 0)
         for spec in specs:
-            form, dense = rl.lattice.slice_operator(box, spec), rl.build_background(box, spec)
-            if len(sides) == 1:
-                assert isinstance(form, rl.lattice.Tridiagonal)
-                blocks, couplings = form.diagonal[:, None, None], form.off_diagonal[:, None]
-            else:
-                assert isinstance(form, rl.lattice.BlockTridiagonal)
-                blocks, couplings = form
+            form, dense = rl.lattice.background_operator(box, spec), rl.build_background(box, spec)
+            assert isinstance(form, rl.lattice.BlockTridiagonal)
+            blocks, couplings = form
             assert blocks.shape == (s, m, m) and couplings.shape == (s - 1, m)
+            reference = dense.copy()
+            reference[np.diag_indices(box.n_sites)] += v
+            assert rl.lattice.dense_hamiltonian(form, v).tobytes() == reference.tobytes()
             rebuilt = np.zeros_like(dense)
             for k in range(s):
                 rebuilt[k * m:(k + 1) * m, k * m:(k + 1) * m] = blocks[k]
@@ -177,7 +179,9 @@ class TestBackground:
 
     def test_decaying_slices_stay_dense(self):
         box, spec = rl.LatticeBox((2, 3)), rl.DecayingHopping(amplitude=1.0, rate=1.2)
-        assert np.array_equal(rl.lattice.slice_operator(box, spec), rl.build_background(box, spec))
+        form = rl.lattice.background_operator(box, spec)
+        assert isinstance(form, np.ndarray)
+        assert np.array_equal(form, rl.build_background(box, spec))
 
 
 class TestDensities:

@@ -213,8 +213,8 @@ class TestFracMomentDecay:
 
 
 class TestBackgroundForm:
-    """A 1D nearest-neighbour chain's background is its bands: no run on one
-    builds the dense N x N matrix."""
+    """A nearest-neighbour background is its slices in any dimension: no run
+    on one builds the dense N x N matrix.  Only ``decaying`` stays dense."""
 
     class DenseBuild(Exception):
         pass
@@ -238,13 +238,24 @@ class TestBackgroundForm:
         sample = rl.assemble_fixed(cfg.model.box, background, np.zeros(40))
         assert sample.matrix.shape == (40, 40)  # built from the bands on request
 
-    def test_two_dimensional_runs_still_build_it(self, monkeypatch):
+    def test_nearest_neighbour_boxes_never_build_it(self, monkeypatch):
         self.refuse_dense_builds(monkeypatch)
-        cfg = make_config(sides=(3, 4), samples=5)
+        for sides, background in [((3, 4), rl.Laplacian()),
+                                  ((2, 3, 2), rl.Magnetic(axis_phases=(0.3,), field=0.5))]:
+            cfg = make_config(sides=sides, background=background, samples=mc._BLOCK_SIZE + 7,
+                              density=rl.Uniform(-1.0, 1.0), workers=2)
+            assert len(mc.count_realizations(cfg, -0.5, 0.5)) == cfg.samples
+            assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 7]).estimate.samples == cfg.samples
+            # the decay fit needs 3 distances along axis 0, which these boxes lack
+            longer = make_config(sides=(5,) + sides[1:], background=background, samples=9)
+            assert mc.frac_moment_decay(longer, 0.5, 0.1, 0.5).distances.size == 4
+            assert mc.spacing_experiment(cfg, 0.0, 1.0, rate=0.25).counts.size == cfg.samples
+            sample = rl.assemble_fixed(cfg.model.box, background, np.zeros(12))
+            assert sample.matrix.shape == (12, 12)  # built from the slices on request
+        decaying = make_config(sides=(3, 4), background=rl.DecayingHopping(amplitude=1.0, rate=1.2),
+                               samples=5)
         with pytest.raises(self.DenseBuild):
-            mc.count_realizations(cfg, -0.5, 0.5)
-        with pytest.raises(self.DenseBuild):
-            mc.run_realizations(cfg, rl.spectral.spectrum)
+            mc.count_realizations(decaying, -0.5, 0.5)
 
 
 class TestCallingThread:

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlat as rl
-from randlat.lattice import Tridiagonal
+from randlat.lattice import BlockTridiagonal
 from randlat.spectral import (count_block, count_in, det_im, det_im_block, elementary_symmetric,
                               green_block, green_columns, imag_part, spectrum)
 from conftest import background_variants, random_box, random_triple
 
 
+# the nearest-neighbour families on a box of n x 1 x ... x 1 sites (d axes)
 CHAIN_FAMILIES = {
-    "laplacian": lambda local: rl.Laplacian(),
-    "periodic": lambda local: rl.PeriodicPotential(
-        period=(3,), values=tuple(local.uniform(-2, 2, size=3))),
-    "magnetic": lambda local: rl.Magnetic(axis_phases=(float(local.uniform(-4, 4)),)),
-    "none": lambda local: None,
+    "laplacian": lambda local, d: rl.Laplacian(),
+    "periodic": lambda local, d: rl.PeriodicPotential(
+        period=(3,) + (1,) * (d - 1), values=tuple(local.uniform(-2, 2, size=3))),
+    "magnetic": lambda local, d: rl.Magnetic(axis_phases=(float(local.uniform(-4, 4)),),
+                                             field=float(local.uniform(-2, 2)) if d >= 2 else 0.0),
+    "none": lambda local, d: None,
 }
 
 
@@ -26,11 +28,18 @@ def count_one(sample, a, b):
     return int(count_block(sample.background, sample.potential[None, :], a, b)[0])
 
 
-def chain_sample(seed, n, family):
-    """A random-potential sample on a 1D box of n sites: a tridiagonal sample."""
+def is_chain(background):
+    """A background in slices of one site, which the band kernels take."""
+    return isinstance(background, BlockTridiagonal) and background.blocks.shape[1] == 1
+
+
+def chain_sample(seed, n, family, d=1):
+    """A random-potential sample on a box of n x 1 x ... x 1 sites (d axes):
+    a tridiagonal sample."""
     local = np.random.default_rng(seed)
-    spec = CHAIN_FAMILIES[family](local)
-    return rl.assemble_fixed(rl.LatticeBox((n,)), spec, local.uniform(-3, 3, size=n))
+    spec = CHAIN_FAMILIES[family](local, d)
+    return rl.assemble_fixed(rl.LatticeBox((n,) + (1,) * (d - 1)), spec,
+                             local.uniform(-3, 3, size=n))
 
 
 def random_hermitian(rng, n, complex_entries=True):
@@ -262,7 +271,7 @@ class TestCounting:
         # the Sturm count on exact edges: a diagonal-only chain's eigenvalues
         # are its potential values, here on a and on b
         edges = rl.assemble_fixed(rl.LatticeBox((5,)), None, [0.0, 1.0, 2.0, 1.0, 0.5])
-        assert isinstance(edges.background, Tridiagonal)
+        assert is_chain(edges.background)
         assert count_one(edges, 0.0, 1.0) == 2
         assert count_one(edges, 1.0, 2.0) == 2
         assert count_one(edges, -math.inf, 1.0) == 2
@@ -340,15 +349,16 @@ class TestSpectrumGreenLink:
 
 
 class TestTridiagonalPath:
-    """The band path of a 1D chain (dsterf, Sturm count) against the dense
+    """The band path of slices of one site (dsterf, Sturm count), on a 1D
+    chain and on boxes of n x 1 or n x 1 x 1 sites, against the dense
     reference, np.linalg.eigvalsh on ``.matrix``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), d=st.integers(1, 3),
            family=st.sampled_from(sorted(CHAIN_FAMILIES)))
-    def test_spectrum_matches_dense(self, seed, n, family):
-        sample = chain_sample(seed, n, family)
-        assert isinstance(sample.background, Tridiagonal)
+    def test_spectrum_matches_dense(self, seed, n, d, family):
+        sample = chain_sample(seed, n, family, d)
+        assert is_chain(sample.background)
         w, reference = spectrum(sample), np.linalg.eigvalsh(sample.matrix)
         if family == "magnetic":  # the kernels read the bands' moduli; the matrix is complex
             scale = max(1.0, float(np.abs(reference).max()))
@@ -363,13 +373,14 @@ class TestTridiagonalPath:
         # the bands are built from the same description as build_background,
         # never read out of it, and .matrix rebuilds the same dense H
         local = np.random.default_rng(seed)
-        box, spec = rl.LatticeBox((n,)), CHAIN_FAMILIES[family](local)
+        box, spec = rl.LatticeBox((n,)), CHAIN_FAMILIES[family](local, 1)
         v = local.uniform(-3, 3, size=n)
         sample = rl.assemble_fixed(box, spec, v)
         reference = rl.build_background(box, spec)
-        assert isinstance(sample.background, Tridiagonal)
-        np.testing.assert_array_equal(sample.background.diagonal, np.diagonal(reference).real)
-        np.testing.assert_array_equal(sample.background.off_diagonal, np.diagonal(reference, 1))
+        assert is_chain(sample.background)
+        blocks, couplings = sample.background
+        np.testing.assert_array_equal(blocks[:, 0, 0], np.diagonal(reference))
+        np.testing.assert_array_equal(couplings[:, 0], np.diagonal(reference, 1))
         matrix = sample.matrix
         assert matrix.dtype == reference.dtype
         assert np.array_equal(matrix, reference + np.diag(v))
@@ -377,27 +388,29 @@ class TestTridiagonalPath:
         assert matrix.tobytes() == reference.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), d=st.integers(1, 3),
            family=st.sampled_from(sorted(CHAIN_FAMILIES)))
-    def test_sturm_count_matches_dense(self, seed, n, family):
-        sample = chain_sample(seed, n, family)
+    def test_sturm_count_matches_dense(self, seed, n, d, family):
+        sample = chain_sample(seed, n, family, d)
         reference = np.linalg.eigvalsh(sample.matrix)
         a, b = np.sort(np.random.default_rng(seed + 1).uniform(-6.0, 8.0, size=2))
         assert count_one(sample, a, b) == count_in(reference, a, b)
         assert count_one(sample, -math.inf, b) == count_in(reference, -math.inf, b)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), rows=st.integers(1, 6),
-           family=st.sampled_from(sorted(CHAIN_FAMILIES)), on_edges=st.booleans())
-    def test_block_count_matches_dense(self, seed, n, rows, family, on_edges):
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), d=st.integers(1, 3),
+           rows=st.integers(1, 6), family=st.sampled_from(sorted(CHAIN_FAMILIES)),
+           on_edges=st.booleans())
+    def test_block_count_matches_dense(self, seed, n, d, rows, family, on_edges):
         local = np.random.default_rng(seed)
-        box, spec = rl.LatticeBox((n,)), CHAIN_FAMILIES[family](local)
+        box, spec = rl.LatticeBox((n,) + (1,) * (d - 1)), CHAIN_FAMILIES[family](local, d)
         a, b = np.sort(local.uniform(-6.0, 8.0, size=2))
         potentials = local.uniform(-3.0, 3.0, size=(rows, n))
         if on_edges:  # some potential values exactly on a and on b
             pick = local.integers(0, 3, size=potentials.shape)
             potentials = np.where(pick == 1, a, np.where(pick == 2, b, potentials))
         samples = [rl.assemble_fixed(box, spec, v) for v in potentials]
+        assert is_chain(samples[0].background)
         for lo in (a, -math.inf):
             counts = count_block(samples[0].background, potentials, lo, b)
             assert counts.dtype.kind == "i"
@@ -426,12 +439,16 @@ class TestTridiagonalPath:
                                        atol=1e-12 * max(1.0, np.abs(shifted).max()))
 
     def test_other_models_stay_dense(self):
-        for box, spec in [(rl.LatticeBox((6,)), rl.DecayingHopping(amplitude=1.0, rate=1.2)),
-                          (rl.LatticeBox((2, 3)), rl.Laplacian()),
-                          (rl.LatticeBox((1, 6)), None)]:
+        # only decaying hopping is held dense; slices of more than one site
+        # are held as slices, and their kernels work on the dense H
+        box, spec = rl.LatticeBox((6,)), rl.DecayingHopping(amplitude=1.0, rate=1.2)
+        sample = rl.assemble_fixed(box, spec, np.zeros(6))
+        assert isinstance(sample.background, np.ndarray)
+        assert np.array_equal(sample.background, rl.build_background(box, spec))
+        for box, spec in [(rl.LatticeBox((2, 3)), rl.Laplacian()), (rl.LatticeBox((1, 6)), None)]:
             sample = rl.assemble_fixed(box, spec, np.zeros(6))
-            assert isinstance(sample.background, np.ndarray)
-            assert np.array_equal(sample.background, rl.build_background(box, spec))
+            assert isinstance(sample.background, BlockTridiagonal) and not is_chain(sample.background)
+            assert np.array_equal(sample.matrix, rl.build_background(box, spec))
 
 
 BOX_FAMILIES = {
@@ -480,10 +497,8 @@ class TestDetImBlock:
         sites = slice_sites(local, box, layout, n)
         z = complex(local.uniform(-3, 4), local.uniform(0.02, 1.5))
         potentials = local.uniform(-2, 2, size=(rows, box.n_sites))
-        operator = rl.lattice.slice_operator(box, spec)
-        form = (np.ndarray if family == "decaying"
-                else Tridiagonal if d == 1 else rl.lattice.BlockTridiagonal)
-        assert isinstance(operator, form)
+        operator = rl.lattice.background_operator(box, spec)
+        assert isinstance(operator, np.ndarray if family == "decaying" else BlockTridiagonal)
         values = det_im_block(operator, potentials, z, sites)
         reference = [det_im(green_block(rl.assemble_fixed(box, spec, v), z, sites, "full"))
                      for v in potentials]
@@ -497,8 +512,9 @@ class TestDetImBlock:
         # in folds of several rows whose span solves take fewer
         local = np.random.default_rng(seed)
         box = rl.LatticeBox(sides)
-        operator = rl.lattice.slice_operator(box, rl.Magnetic(axis_phases=(0.3, 0.9), field=0.2)
-                                             if len(sides) > 1 else rl.Laplacian())
+        operator = rl.lattice.background_operator(
+            box, rl.Magnetic(axis_phases=(0.3, 0.9), field=0.2) if len(sides) > 1
+            else rl.Laplacian())
         sites = slice_sites(local, box, layout, 2)
         potentials = local.uniform(-2, 2, size=(9, box.n_sites))
         together = det_im_block(operator, potentials, 0.4 + 0.2j, sites)
@@ -518,7 +534,7 @@ class TestDetImBlock:
         # b.ndim == a.ndim - 1, where NumPy 2 reads one matrix; the span solve
         # must pass its right-hand side so that both rules give the same bits
         box = rl.LatticeBox(sides)
-        operator = rl.lattice.slice_operator(box, rl.Laplacian())
+        operator = rl.lattice.background_operator(box, rl.Laplacian())
         potentials = np.random.default_rng(8).uniform(-1, 1, size=(5, box.n_sites))
         values = det_im_block(operator, potentials, 0.5 + 0.1j, sites)
         solve = np.linalg.solve
@@ -532,7 +548,7 @@ class TestDetImBlock:
 
     def test_names_the_first_row_with_a_non_positive_im_g(self, monkeypatch):
         box = rl.LatticeBox((4, 3))
-        operator = rl.lattice.slice_operator(box, rl.Laplacian())
+        operator = rl.lattice.background_operator(box, rl.Laplacian())
         potentials = np.random.default_rng(3).uniform(-1, 1, size=(6, 12))
         values = det_im_block(operator, potentials, 0.5 + 0.1j, [4])  # Im g = det Im g here
         threshold = np.sort(values)[2]  # the three smallest rows fail
