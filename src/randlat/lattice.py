@@ -3,9 +3,9 @@ assembly of single-realization Hamiltonians H = H0 + diag(V).  A
 nearest-neighbour background is its slices along axis 0 in any dimension
 (``BlockTridiagonal``; a chain's are single sites), a ``decaying`` one its
 dense matrix (``build_background``, the reference for both); one builder,
-``background_operator``, gives either form.  Potentials
-are drawn per realization (``sample_potential``) or for a block of
-realizations in one vectorized pass of the same stream (``sample_potentials``)."""
+``background_operator``, gives either form.  Every run draws potentials for
+a block of realizations in one vectorized pass (``sample_potentials``); the
+per-realization draw of the same stream (``sample_potential``) is its reference."""
 
 from __future__ import annotations
 

@@ -6,15 +6,12 @@ Every realization is a pure function of (model, master seed, realization
 index); reduction happens in realization-index order, so results are
 bit-identical for any worker count.
 
-Every run holds ``background_operator``'s form: no N x N background unless
-the model is ``decaying``.  Eigenvalue counts (``wegner``, ``ids``, ``dos``)
-take one path: each scheduling block is drawn and counted at once, on the
-calling thread (``count_realizations``).  ``mc_minami`` draws each block at
-once too and computes det Im g for all of it (``det_im_block``).  The
-per-sample kernels (the Green solves of ``frac_moment_decay``, spectra)
-draw one realization at a time (``run_realizations``).  For both,
-``workers`` threads share the blocks unless the model is a chain
-(``_map_blocks``).
+One driver, ``_map_blocks``, draws each scheduling block of realizations at
+once and hands it to a kernel on ``background_operator``'s form: the counts of
+``wegner``, ``ids`` and ``dos`` (``count_block``), det Im g for ``mc_minami``
+(``det_im_block``), or the per-sample kernels of ``spacing`` and
+``fracmoment`` row by row (``run_realizations``).  Only ``mc_minami`` on
+slices of more than one site shares the blocks among ``workers`` threads.
 """
 
 from __future__ import annotations
@@ -26,12 +23,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Background, BackgroundSpec, DisorderDensity, HamiltonianSample,
-                      LatticeBox, SeedRecord, as_integer, background_operator,
-                      sample_potential, sample_potentials)
-from .spectral import (NumericalFault, _as_z, _chain_bands, check_exponent, count_block,
-                       count_in, det_im_block, green_columns, imag_part, spectrum,
-                       sum_principal_minors)
+from .lattice import (Background, BackgroundSpec, BlockTridiagonal, DisorderDensity,
+                      HamiltonianSample, LatticeBox, SeedRecord, as_integer,
+                      background_operator, sample_potentials)
+from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
+                       det_im_block, green_columns, imag_part, spectrum, sum_principal_minors)
 
 _BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
 
@@ -123,6 +119,16 @@ class BoundCheck:
         return "PASS" if self.passed else "FAIL"
 
 
+def _bound(power: Callable[[], float], log_bound: float) -> float:
+    """The bound ``power()`` evaluates or, if a step of it overflows, exp(``log_bound``),
+    which is inf past the float range."""
+    try:
+        return power()
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.exp(log_bound))
+
+
 def _estimate(values: np.ndarray) -> McEstimate:
     values = np.asarray(values, dtype=float)
     m = len(values)
@@ -130,61 +136,59 @@ def _estimate(values: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(np.mean(values)), stderr=stderr, samples=m)
 
 
-def _blocks(config: McConfig) -> list[range]:
-    """The scheduling blocks of ``_BLOCK_SIZE`` realization indices, in order."""
-    return [range(start, min(start + _BLOCK_SIZE, config.samples))
-            for start in range(0, config.samples, _BLOCK_SIZE)]
-
-
-def run_realizations(config: McConfig,
-                     kernel: Callable[[HamiltonianSample], object]) -> list:
-    """Map ``kernel`` over all realizations, each drawn alone
-    (``sample_potential``), returning the results in realization-index
-    order; the scheduling blocks are shared as ``_map_blocks`` says."""
+def _map_blocks(config: McConfig,
+                kernel: Callable[[Background, np.ndarray, range], Sequence],
+                stacked: bool = False) -> list:
+    """``kernel(operator, potentials, block)`` of every scheduling block, in
+    order: ``operator`` is the model's ``background_operator``, built once,
+    and ``potentials`` the block's (B, N) draw (``sample_potentials``).  A
+    ``NumericalFault`` is raised again naming the realization of its ``row``.
+    numpy holds the interpreter lock around one matrix's LAPACK call and
+    releases it around a stack, so only a ``stacked`` kernel (``mc_minami``'s
+    slice sweep) on slices of m > 1 sites shares the blocks among
+    ``config.workers`` threads; every other kernel runs on the calling thread."""
     model = config.model
-    background = background_operator(model.box, model.background)
+    operator = background_operator(model.box, model.background)
 
-    def run_block(block: range) -> list:
-        out = []
-        for i in block:
-            rec = SeedRecord(config.master_seed, i)
-            sample = HamiltonianSample(
-                box=model.box, background=background,
-                potential=sample_potential(model.box, model.density, rec), seed_record=rec)
-            try:
-                out.append(kernel(sample))
-            except NumericalFault as exc:
-                raise NumericalFault(f"realization {i}: {exc}") from exc
-        return out
+    def run_block(block: range) -> Sequence:
+        potentials = sample_potentials(model.box, model.density, config.master_seed, block)
+        try:
+            return kernel(operator, potentials, block)
+        except NumericalFault as exc:
+            raise NumericalFault(f"realization {block[exc.row]}: {exc}") from exc
 
-    return [item for result in _map_blocks(config, run_block, background) for item in result]
-
-
-def _map_blocks(config: McConfig, run_block: Callable[[range], object],
-                operator: Background) -> list:
-    """``run_block`` of every scheduling block, in block order.  The kernels
-    of a chain (slices of m = 1 site) are small numpy calls that hold the
-    interpreter lock, so its blocks run on the calling thread; any other
-    ``operator``'s blocks go to a pool of ``config.workers`` threads, which
-    overlap their LAPACK calls."""
-    blocks = _blocks(config)
-    if _chain_bands(operator) is not None or config.workers == 1 or len(blocks) == 1:
+    blocks = [range(start, min(start + _BLOCK_SIZE, config.samples))
+              for start in range(0, config.samples, _BLOCK_SIZE)]
+    pooled = stacked and isinstance(operator, BlockTridiagonal) and operator.blocks.shape[1] > 1
+    if not pooled or config.workers == 1 or len(blocks) == 1:
         return [run_block(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(run_block, blocks))
 
 
+def run_realizations(config: McConfig,
+                     kernel: Callable[[HamiltonianSample], object]) -> list:
+    """``kernel`` of every realization as a ``HamiltonianSample``, in
+    realization-index order: a per-row adapter over ``_map_blocks``."""
+    box = config.model.box
+
+    def rows(operator: Background, potentials: np.ndarray, block: range) -> list:
+        out = []
+        for row, (i, potential) in enumerate(zip(block, potentials)):
+            sample = HamiltonianSample(box, operator, potential, SeedRecord(config.master_seed, i))
+            try:
+                out.append(kernel(sample))
+            except NumericalFault as exc:
+                raise NumericalFault(str(exc), row) from exc
+        return out
+
+    return [item for result in _map_blocks(config, rows) for item in result]
+
+
 def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
     """The number of eigenvalues in [a, b) of every realization, as an int
-    array in realization-index order.  Each scheduling block's potentials are
-    drawn in one pass (``sample_potentials``) and counted at once
-    (``count_block``), block after block on the calling thread."""
-    model = config.model
-    background = background_operator(model.box, model.background)
-    return np.concatenate([
-        count_block(background, sample_potentials(model.box, model.density,
-                                                  config.master_seed, block), a, b)
-        for block in _blocks(config)])
+    array in realization-index order, each block counted at once (``count_block``)."""
+    return np.concatenate(_map_blocks(config, lambda op, v, _: count_block(op, v, a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +197,15 @@ def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
 
 def mc_minami(config: McConfig, z, indices: Sequence[int]) -> BoundCheck:
     """Mean of det Im g over realizations vs the bound
-    (pi * sup_density)^n for a subset of n sites.  Each scheduling block is
-    drawn in one pass (``sample_potentials``) and reduced at once
-    (``det_im_block``): by the slice sweep on a nearest-neighbour background,
-    by one dense solve per realization otherwise."""
+    (pi * sup_density)^n for a subset of n sites, each scheduling block
+    reduced at once (``det_im_block``): by the slice sweep on a
+    nearest-neighbour background, by one dense solve per realization
+    otherwise."""
     zc = _as_z(z)
-    model = config.model
-    operator = background_operator(model.box, model.background)
-
-    def run_block(block: range) -> np.ndarray:
-        potentials = sample_potentials(model.box, model.density, config.master_seed, block)
-        try:
-            return det_im_block(operator, potentials, zc, indices)
-        except NumericalFault as exc:
-            raise NumericalFault(f"realization {block[exc.row]}: {exc}") from exc
-
-    vals = np.concatenate(_map_blocks(config, run_block, operator))
-    bound = (math.pi * model.density.sup_density) ** len(indices)
+    vals = np.concatenate(_map_blocks(
+        config, lambda op, v, _: det_im_block(op, v, zc, indices), stacked=True))
+    n, rho = len(indices), config.model.density.sup_density
+    bound = _bound(lambda: (math.pi * rho) ** n, n * math.log(math.pi * rho))
     return BoundCheck(estimate=_estimate(vals), bound=bound)
 
 
@@ -224,7 +220,8 @@ def mc_wegner_nlevel(config: McConfig, interval: tuple[float, float],
     hits = count_realizations(config, a, b) >= n
     rho = config.model.density.sup_density
     vol = config.model.box.n_sites
-    bound = (math.pi ** n / math.factorial(n)) * (rho * length * vol) ** n
+    bound = _bound(lambda: (math.pi ** n / math.factorial(n)) * (rho * length * vol) ** n,
+                   n * math.log(math.pi * rho * length * vol) - math.lgamma(n + 1))
     return BoundCheck(estimate=_estimate(hits), bound=bound)
 
 

@@ -201,6 +201,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("raw", shipped_config_items())
     def test_accepts_shipped_configs(self, raw):
         cli.parse_config(raw)
+        # and runs end to end at its shipped workers, at 16 samples where it has samples
+        cfg = cli.parse_config(raw, {"samples": 16} if "samples" in raw["experiment"] else None)
+        records = cli.run_experiment(cfg)
+        assert records and all(r.get("verdict") != "FAIL" for r in records)
 
     def test_identities_needs_no_model(self):
         cfg = cli.parse_config({"experiment": {"name": "identities"}})
@@ -331,6 +335,17 @@ class TestRun:
         path = write_config(tmp_path, [MINAMI_CONFIG, raw])
         assert cli.run(path, {"out": str(out)}) == 3
         assert [r["experiment"] for r in read_records(out)] == ["minami"]
+
+    def test_bound_past_a_float_power_exit_zero(self, tmp_path):
+        # 1600 ** 100 overflows a float; the Wegner bound, about 1.4e212, does not
+        wegner = json.loads(json.dumps(MINAMI_CONFIG))
+        wegner["model"]["sides"] = [1600]
+        wegner["experiment"] = {"name": "wegner", "interval": [0.0, 1.0], "n": 100, "samples": 4}
+        out = tmp_path / "result.jsonl"
+        assert cli.run(write_config(tmp_path, [MINAMI_CONFIG, wegner]), {"out": str(out)}) == 0
+        records = read_records(out)
+        assert [r["experiment"] for r in records] == ["minami", "wegner"]
+        assert math.isfinite(records[1]["bound"]) and records[1]["verdict"] == "PASS"
 
     def test_out_dir_env_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))

@@ -1,4 +1,6 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,20 @@ class TestBounds:
         n1 = mc.mc_wegner_nlevel(cfg, (0.475, 0.525), 1)
         assert n1.bound == pytest.approx(math.pi / 2.0, rel=1e-12)
         assert n1.passed  # vacuous bound > 1 still PASSes
+
+    def test_bounds_past_a_float_power(self):
+        # (pi rho)^140 at rho = 100 is past the float range, and so is 1600^100,
+        # though the Wegner bound pi^100 1600^100 / 100! is not
+        minami = make_config(sides=(140,), density=rl.Uniform(0.0, 0.01), samples=3)
+        assert mc.mc_minami(minami, 0.5 + 0.1j, range(140)).bound == math.inf
+        wegner = make_config(sides=(1600,), samples=3)
+        exact = Fraction(math.pi) ** 100 * 1600 ** 100 / math.factorial(100)
+        assert mc.mc_wegner_nlevel(wegner, (0.0, 1.0), 100).bound == pytest.approx(float(exact),
+                                                                                   rel=1e-11)
+        # a bound inside the float range is the plain float expression, to the bit
+        small = make_config(sides=(16,), samples=3)
+        assert mc.mc_wegner_nlevel(small, (0.0, 1.0), 20).bound == \
+            (math.pi ** 20 / math.factorial(20)) * 16.0 ** 20
 
     def test_wegner_monotone_in_n(self):
         cfg = make_config(samples=500, seed=4)
@@ -258,11 +274,22 @@ class TestBackgroundForm:
             mc.count_realizations(decaying, -0.5, 0.5)
 
 
+# every experiment, as a call on a config
+EXPERIMENTS = {
+    "wegner": lambda cfg: mc.mc_wegner_nlevel(cfg, (-0.5, 0.5), 1),
+    "ids": lambda cfg: mc.estimate_ids(cfg, 0.2),
+    "dos": lambda cfg: mc.estimate_dos(cfg, 0.2, 0.5),
+    "minami": lambda cfg: mc.mc_minami(cfg, 0.5 + 0.1j, [1, 2]),
+    "spacing": lambda cfg: mc.spacing_experiment(cfg, 0.0, 1.0, rate=0.25),
+    "fracmoment": lambda cfg: mc.frac_moment_decay(cfg, 0.5, 0.1, 0.5),
+}
+
+
 class TestCallingThread:
-    """Counts on every background, and every kernel on a chain, run on the
-    calling thread; only the kernels of a model off a chain use the pool.
-    Counts and minami draw each block at once, never one realization at a
-    time."""
+    """Every experiment draws each scheduling block at once, never one
+    realization at a time.  Only ``mc_minami`` on slices of more than one
+    site uses the thread pool: every other kernel, and ``mc_minami`` on a
+    chain or a dense background, runs on the calling thread."""
 
     def test_chains_and_counts_never_reach_the_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -273,28 +300,44 @@ class TestCallingThread:
         assert mc.frac_moment_decay(cfg, 0.5, 0.1, 0.5).distances.size == 7
         dense = make_config(sides=(3, 4), samples=mc._BLOCK_SIZE + 7, workers=8)
         assert len(mc.count_realizations(dense, -0.5, 0.5)) == dense.samples
+        assert mc.spacing_experiment(dense, 0.0, 1.0, rate=0.25).counts.size == dense.samples
+        longer = make_config(sides=(5, 4), samples=mc._BLOCK_SIZE + 7, workers=8)
+        assert mc.frac_moment_decay(longer, 0.5, 0.1, 0.5).distances.size == 4
+        decaying = make_config(sides=(64,), background=rl.DecayingHopping(amplitude=1.0, rate=1.2),
+                               samples=mc._BLOCK_SIZE + 7, workers=8)
+        assert mc.mc_minami(decaying, 0.5 + 0.1j, [3, 4]).estimate.samples == decaying.samples
 
+    def test_minami_on_slices_reaches_the_pool(self, monkeypatch):
+        pools = []
+
+        def record(*args, **kwargs):
+            pools.append(kwargs)
+            return ThreadPoolExecutor(*args, **kwargs)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", record)
+        cfg = make_config(sides=(3, 4), samples=mc._BLOCK_SIZE + 7, workers=2)
+        assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 7]).estimate.samples == cfg.samples
+        assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
     @pytest.mark.parametrize("sides, background", [
-        ((8,), rl.Laplacian()), ((3, 4), rl.Laplacian()),
-        ((2, 3, 2), rl.Magnetic(axis_phases=(0.3,), field=0.5)),
-        ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
-    def test_minami_draws_whole_blocks(self, monkeypatch, sides, background):
+        pytest.param((8,), rl.Laplacian(), id="chain"),
+        pytest.param((4, 3), rl.Laplacian(), id="box"),
+        pytest.param((4, 3, 2), rl.Magnetic(axis_phases=(0.3,), field=0.5), id="magnetic"),
+        pytest.param((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2), id="decaying")])
+    def test_draws_whole_blocks(self, monkeypatch, sides, background, experiment):
         def refuse(*args):
-            raise AssertionError("minami drew one realization at a time")
-        monkeypatch.setattr(mc, "sample_potential", refuse)
-        cfg = make_config(sides=sides, background=background,
+            raise AssertionError("a realization was drawn alone")
+        monkeypatch.setattr(rl.lattice, "sample_potential", refuse)
+        draws = []
+
+        def draw(box, density, master_seed, block):
+            draws.append(len(block))
+            return rl.sample_potentials(box, density, master_seed, block)
+        monkeypatch.setattr(mc, "sample_potentials", draw)
+        cfg = make_config(sides=sides, background=background, density=rl.Uniform(-1.0, 1.0),
                           samples=mc._BLOCK_SIZE + 7, workers=2)
-        assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 2]).estimate.samples == cfg.samples
-
-    @pytest.mark.parametrize("sides, background", [
-        ((3, 4), rl.Laplacian()), ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
-    def test_dense_counts_draw_whole_blocks(self, monkeypatch, sides, background):
-        def refuse(*args):
-            raise AssertionError("a count drew one realization at a time")
-        monkeypatch.setattr(mc, "sample_potential", refuse)
-        cfg = make_config(sides=sides, background=background,
-                          samples=mc._BLOCK_SIZE + 7, workers=3)
-        assert len(mc.count_realizations(cfg, -0.5, 0.5)) == cfg.samples
+        EXPERIMENTS[experiment](cfg)
+        assert draws == [mc._BLOCK_SIZE, 7]  # one draw per scheduling block
 
 
 class TestReproducibility:
@@ -359,7 +402,7 @@ class TestReproducibility:
         assert results[1] == results[3] == results[8]
 
     @pytest.mark.parametrize("sides", [pytest.param((6,), id="chain"),
-                                       pytest.param((4, 4), id="dense")])  # dense: on the pool
+                                       pytest.param((4, 4), id="dense")])  # per-row: never pooled
     def test_block_boundary_independence(self, sides):
         # more samples than one scheduling block
         big = mc._BLOCK_SIZE + 37
