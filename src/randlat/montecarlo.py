@@ -3,15 +3,18 @@ Green blocks, n-level eigenvalue-count bounds, integrated density of
 states, level-spacing statistics and fractional-moment decay fits.
 
 Every realization is a pure function of (model, master seed, realization
-index); reduction happens in realization-index order, so results are
-bit-identical for any worker count.
+index), and every kernel's rows are independent of the other rows in its
+block; reduction happens in realization-index order, so results are
+bit-identical for any worker count and any block size.
 
 One driver, ``_map_blocks``, draws each scheduling block of realizations at
 once and hands it to a kernel on ``background_operator``'s form: the counts of
 ``wegner``, ``ids`` and ``dos`` (``count_block``), det Im g for ``mc_minami``
 (``det_im_block``), or the per-sample kernels of ``spacing`` and
-``fracmoment`` row by row (``run_realizations``).  Only ``mc_minami`` on
-slices of more than one site shares the blocks among ``workers`` threads.
+``fracmoment`` row by row (``run_realizations``).  A block holds about
+``_BLOCK_VALUES`` potential values, and at least ``_BLOCK_SIZE`` realizations:
+its size depends on the box alone, never on ``workers``.  Only ``mc_minami``
+on slices of more than one site shares the blocks among ``workers`` threads.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ from .lattice import (Background, BackgroundSpec, BlockTridiagonal, DisorderDens
 from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
                        det_im_block, green_columns, imag_part, spectrum, sum_principal_minors)
 
-_BLOCK_SIZE = 256  # realizations per scheduling block; fixed for determinism
+# A scheduling block holds max(_BLOCK_SIZE, _BLOCK_VALUES // N) realizations of a box of
+# N sites (``_block_rows``), so that on a small box each numpy call over it does real
+# work; larger blocks gain little and raise the peak memory.  It depends on the box alone,
+# never on ``workers``, and every kernel's rows are independent of the other rows in it.
+_BLOCK_SIZE = 256
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,11 @@ def _estimate(values: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(np.mean(values)), stderr=stderr, samples=m)
 
 
+def _block_rows(box: LatticeBox) -> int:
+    """Realizations per scheduling block on ``box``."""
+    return max(_BLOCK_SIZE, _BLOCK_VALUES // box.n_sites)
+
+
 def _map_blocks(config: McConfig,
                 kernel: Callable[[Background, np.ndarray, range], Sequence],
                 stacked: bool = False) -> list:
@@ -157,8 +170,9 @@ def _map_blocks(config: McConfig,
         except NumericalFault as exc:
             raise NumericalFault(f"realization {block[exc.row]}: {exc}") from exc
 
-    blocks = [range(start, min(start + _BLOCK_SIZE, config.samples))
-              for start in range(0, config.samples, _BLOCK_SIZE)]
+    rows = _block_rows(model.box)
+    blocks = [range(start, min(start + rows, config.samples))
+              for start in range(0, config.samples, rows)]
     pooled = stacked and isinstance(operator, BlockTridiagonal) and operator.blocks.shape[1] > 1
     if not pooled or config.workers == 1 or len(blocks) == 1:
         return [run_block(block) for block in blocks]

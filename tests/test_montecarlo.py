@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import randlat as rl
+from randlat import cli
 from randlat import montecarlo as mc
 
 
@@ -15,6 +16,31 @@ def make_config(sides=(10,), background=rl.Laplacian(),
                          density=density)
     return mc.McConfig(model=model, samples=samples, master_seed=seed,
                        workers=workers)
+
+
+def block_rows(sides) -> int:
+    """Realizations per scheduling block on a box of ``sides``."""
+    return mc._block_rows(rl.LatticeBox(sides))
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The length of every block ``_map_blocks`` draws, in the order drawn."""
+    lengths = []
+
+    def draw(box, density, master_seed, block):
+        lengths.append(len(block))
+        return rl.sample_potentials(box, density, master_seed, block)
+    monkeypatch.setattr(mc, "sample_potentials", draw)
+    return lengths
+
+
+@pytest.fixture
+def blocks_of_256(monkeypatch):
+    """Scheduling blocks of 256 realizations on every box of 6 sites or more,
+    as on a box of 64 sites or more, so that a few hundred samples cross one."""
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 6 * 256)
+    assert block_rows((6,)) == block_rows((3, 4)) == 256
 
 
 class TestBounds:
@@ -52,6 +78,13 @@ class TestBounds:
         small = make_config(sides=(16,), samples=3)
         assert mc.mc_wegner_nlevel(small, (0.0, 1.0), 20).bound == \
             (math.pi ** 20 / math.factorial(20)) * 16.0 ** 20
+
+    def test_passes_at_three_stderr_and_no_further(self):
+        def check(mean):
+            return mc.BoundCheck(mc.McEstimate(mean=mean, stderr=0.25, samples=100), bound=1.0)
+        assert check(1.0 + 3.0 * 0.25).passed  # 1.75, exactly at the margin
+        assert not check(1.0 + 3.01 * 0.25).passed
+        assert check(1.0 + 3.01 * 0.25).verdict == "FAIL"
 
     def test_wegner_monotone_in_n(self):
         cfg = make_config(samples=500, seed=4)
@@ -228,6 +261,53 @@ class TestFracMomentDecay:
                                  0.5, 0.1, 0.5)
 
 
+def lorentz_mean(lo: float, hi: float, z: complex) -> float:
+    """E Im (V - z)^-1 for V ~ Uniform(lo, hi): the mean of Im g on one site of
+    the diagonal model."""
+    return (math.atan((hi - z.real) / z.imag) - math.atan((lo - z.real) / z.imag)) / (hi - lo)
+
+
+class TestDiagonalWitnesses:
+    """Closed forms on the diagonal model (no background: H = diag V, whose
+    eigenvalues are the i.i.d. potentials), checked two-sided.  There the
+    paper's bounds are nearly attained, so a wrong factor shows, where the
+    one-sided bound checks let it through.  Each run spans several scheduling
+    blocks.  Mutations killed, each confirmed on a copy of the code:
+    - ``mc_minami`` reporting 3 det Im g: every minami case here fails, and no
+      other test does;
+    - a Wegner count of > n in place of >= n: every wegner case here fails;
+    - ``BoundCheck.passed`` with a 30-stderr margin:
+      ``TestBounds.test_passes_at_three_stderr_and_no_further`` fails."""
+
+    @pytest.mark.parametrize("sides, sites", [
+        pytest.param((16,), [5], id="chain-n1"), pytest.param((16,), [5, 6], id="chain-n2"),
+        pytest.param((4, 4), [5], id="box-n1"), pytest.param((4, 4), [5, 6], id="box-n2-slice"),
+        pytest.param((4, 4), [5, 10], id="box-n2-apart")])
+    def test_minami_mean_is_the_lorentzian_power(self, draws, sides, sites):
+        # E det Im g = prod over the sites of E Im (V_x - z)^-1, near (pi rho)^n
+        z = 0.5 + 0.1j
+        cfg = make_config(sides=sides, background=None, samples=3 * block_rows(sides) + 100,
+                          seed=2024)
+        est = mc.mc_minami(cfg, z, sites).estimate
+        exact = lorentz_mean(0.0, 1.0, z) ** len(sites)
+        assert abs(est.mean - exact) <= 4.0 * est.stderr, (est, exact)
+        assert len(draws) == 4
+
+    @pytest.mark.parametrize("interval", [(0.45, 0.55), (0.495, 0.505)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_wegner_frequency_is_the_binomial_tail(self, draws, interval, n):
+        # the count in [a, b) of N i.i.d. Uniform(0, 1) levels is Binomial(N, b - a),
+        # so the hits over S samples are Binomial(S, P(count >= n)): an exact
+        # two-sided binomial test, which holds for rare hits where +-k stderr does not
+        from scipy import stats
+        cfg = make_config(background=None, samples=3 * block_rows((10,)) + 100, seed=2024)
+        a, b = interval
+        tail = float(stats.binom.sf(n - 1, cfg.model.box.n_sites, b - a))
+        hits = round(mc.mc_wegner_nlevel(cfg, interval, n).estimate.mean * cfg.samples)
+        assert stats.binomtest(hits, cfg.samples, tail).pvalue > 1e-4, (hits, tail * cfg.samples)
+        assert len(draws) == 4
+
+
 class TestBackgroundForm:
     """A nearest-neighbour background is its slices in any dimension: no run
     on one builds the dense N x N matrix.  Only ``decaying`` stays dense."""
@@ -245,20 +325,23 @@ class TestBackgroundForm:
     @pytest.mark.parametrize("background", [
         rl.Laplacian(), rl.PeriodicPotential(period=(2,), values=(0.3, -0.4)),
         rl.Magnetic(axis_phases=(0.8,)), None])
-    def test_chains_never_build_the_dense_background(self, monkeypatch, background):
+    def test_chains_never_build_the_dense_background(self, monkeypatch, draws, background):
         self.refuse_dense_builds(monkeypatch)
-        cfg = make_config(sides=(40,), background=background, samples=mc._BLOCK_SIZE + 7,
+        rows = block_rows((40,))
+        cfg = make_config(sides=(40,), background=background, samples=rows + 7,
                           density=rl.Uniform(-1.0, 1.0))
         assert len(mc.count_realizations(cfg, -0.5, 0.5)) == cfg.samples
         assert mc.spacing_experiment(cfg, 0.0, 1.0, rate=0.25).counts.size == cfg.samples
+        assert draws == [rows, 7] * 2  # each run crosses a scheduling block
         sample = rl.assemble_fixed(cfg.model.box, background, np.zeros(40))
         assert sample.matrix.shape == (40, 40)  # built from the bands on request
 
-    def test_nearest_neighbour_boxes_never_build_it(self, monkeypatch):
+    def test_nearest_neighbour_boxes_never_build_it(self, monkeypatch, draws):
         self.refuse_dense_builds(monkeypatch)
         for sides, background in [((3, 4), rl.Laplacian()),
                                   ((2, 3, 2), rl.Magnetic(axis_phases=(0.3,), field=0.5))]:
-            cfg = make_config(sides=sides, background=background, samples=mc._BLOCK_SIZE + 7,
+            rows = block_rows(sides)
+            cfg = make_config(sides=sides, background=background, samples=rows + 7,
                               density=rl.Uniform(-1.0, 1.0), workers=2)
             assert len(mc.count_realizations(cfg, -0.5, 0.5)) == cfg.samples
             assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 7]).estimate.samples == cfg.samples
@@ -268,6 +351,9 @@ class TestBackgroundForm:
             assert mc.spacing_experiment(cfg, 0.0, 1.0, rate=0.25).counts.size == cfg.samples
             sample = rl.assemble_fixed(cfg.model.box, background, np.zeros(12))
             assert sample.matrix.shape == (12, 12)  # built from the slices on request
+            # the count, minami and spacing runs each cross a scheduling block
+            assert sorted(draws) == [7, 7, 7, 9, rows, rows, rows]
+            draws.clear()
         decaying = make_config(sides=(3, 4), background=rl.DecayingHopping(amplitude=1.0, rate=1.2),
                                samples=5)
         with pytest.raises(self.DenseBuild):
@@ -291,32 +377,37 @@ class TestCallingThread:
     site uses the thread pool: every other kernel, and ``mc_minami`` on a
     chain or a dense background, runs on the calling thread."""
 
-    def test_chains_and_counts_never_reach_the_pool(self, monkeypatch):
+    def test_chains_and_counts_never_reach_the_pool(self, monkeypatch, draws):
         def refuse(*args, **kwargs):
             raise AssertionError("realizations went to the thread pool")
         monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
-        cfg = make_config(sides=(8,), samples=mc._BLOCK_SIZE + 7, workers=8)
+
+        def crossing(sides, **kwargs):  # a config of two scheduling blocks
+            return make_config(sides=sides, samples=block_rows(sides) + 7, workers=8, **kwargs)
+        cfg = crossing((8,))
         assert mc.mc_minami(cfg, 0.5 + 0.1j, [3, 4]).estimate.samples == cfg.samples
         assert mc.frac_moment_decay(cfg, 0.5, 0.1, 0.5).distances.size == 7
-        dense = make_config(sides=(3, 4), samples=mc._BLOCK_SIZE + 7, workers=8)
+        dense = crossing((3, 4))
         assert len(mc.count_realizations(dense, -0.5, 0.5)) == dense.samples
         assert mc.spacing_experiment(dense, 0.0, 1.0, rate=0.25).counts.size == dense.samples
-        longer = make_config(sides=(5, 4), samples=mc._BLOCK_SIZE + 7, workers=8)
+        longer = crossing((5, 4))
         assert mc.frac_moment_decay(longer, 0.5, 0.1, 0.5).distances.size == 4
-        decaying = make_config(sides=(64,), background=rl.DecayingHopping(amplitude=1.0, rate=1.2),
-                               samples=mc._BLOCK_SIZE + 7, workers=8)
+        decaying = crossing((64,), background=rl.DecayingHopping(amplitude=1.0, rate=1.2))
         assert mc.mc_minami(decaying, 0.5 + 0.1j, [3, 4]).estimate.samples == decaying.samples
+        assert draws == [block_rows((8,)), 7] * 2 + [block_rows((3, 4)), 7] * 2 + \
+            [block_rows((5, 4)), 7, 256, 7]
 
-    def test_minami_on_slices_reaches_the_pool(self, monkeypatch):
+    def test_minami_on_slices_reaches_the_pool(self, monkeypatch, draws):
         pools = []
 
         def record(*args, **kwargs):
             pools.append(kwargs)
             return ThreadPoolExecutor(*args, **kwargs)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", record)
-        cfg = make_config(sides=(3, 4), samples=mc._BLOCK_SIZE + 7, workers=2)
+        cfg = make_config(sides=(3, 4), samples=block_rows((3, 4)) + 7, workers=2)
         assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 7]).estimate.samples == cfg.samples
         assert pools == [{"max_workers": 2}]
+        assert sorted(draws) == [7, block_rows((3, 4))]
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     @pytest.mark.parametrize("sides, background", [
@@ -324,58 +415,69 @@ class TestCallingThread:
         pytest.param((4, 3), rl.Laplacian(), id="box"),
         pytest.param((4, 3, 2), rl.Magnetic(axis_phases=(0.3,), field=0.5), id="magnetic"),
         pytest.param((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2), id="decaying")])
-    def test_draws_whole_blocks(self, monkeypatch, sides, background, experiment):
+    def test_draws_whole_blocks(self, monkeypatch, draws, sides, background, experiment):
         def refuse(*args):
             raise AssertionError("a realization was drawn alone")
         monkeypatch.setattr(rl.lattice, "sample_potential", refuse)
-        draws = []
-
-        def draw(box, density, master_seed, block):
-            draws.append(len(block))
-            return rl.sample_potentials(box, density, master_seed, block)
-        monkeypatch.setattr(mc, "sample_potentials", draw)
+        rows = block_rows(sides)
         cfg = make_config(sides=sides, background=background, density=rl.Uniform(-1.0, 1.0),
-                          samples=mc._BLOCK_SIZE + 7, workers=2)
+                          samples=rows + 7, workers=2)
         EXPERIMENTS[experiment](cfg)
-        assert draws == [mc._BLOCK_SIZE, 7]  # one draw per scheduling block
+        # one draw per scheduling block; minami's slice sweep may draw on the pool
+        assert sorted(draws) == [7, rows]
+
+    def test_block_rows_follow_the_potentials_drawn(self, draws):
+        # the three workload shapes: a 10-site chain, a 16 x 16 box, and a
+        # 1600-site chain whose 8 samples are one block
+        assert (mc._BLOCK_SIZE, mc._BLOCK_VALUES) == (256, 1 << 14)
+        assert block_rows((10,)) == 1638 and block_rows((16, 16)) == 256
+        mc.mc_wegner_nlevel(make_config(samples=2 * 1638 + 5), (0.2, 0.9), 1)
+        mc.mc_minami(make_config(sides=(16, 16), samples=257, workers=1), 0.5 + 0.1j, [135, 136])
+        mc.mc_wegner_nlevel(make_config(sides=(1600,), samples=8), (0.2, 0.9), 1)
+        assert draws == [1638, 1638, 5, 256, 1, 8]
 
 
 class TestReproducibility:
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, draws):
         # a chain's sweep runs on the calling thread; a 2D box's blocks on the pool
-        for sides, samples, sites in [((10,), 130, [2, 3]), ((4, 5), mc._BLOCK_SIZE + 37, [6, 12])]:
+        for sides, sites in [((10,), [2, 3]), ((4, 5), [6, 12])]:
             for workers in (1, 2, 3, 8):
-                cfg = make_config(sides=sides, samples=samples, seed=42, workers=workers)
+                cfg = make_config(sides=sides, samples=block_rows(sides) + 37, seed=42,
+                                  workers=workers)
                 chk = mc.mc_minami(cfg, 0.5 + 0.1j, sites)
                 if workers == 1:
                     reference = chk
                 else:
                     assert chk.estimate == reference.estimate
+                assert sorted(draws) == [37, block_rows(sides)]  # two scheduling blocks
+                draws.clear()
 
     @pytest.mark.parametrize("sides, background", [
         ((10,), rl.Laplacian()), ((4, 5), rl.Magnetic(axis_phases=(0.2, 0.5), field=0.3)),
         ((10,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
-    def test_minami_rows_bit_identical_whatever_the_block(self, monkeypatch, sides, background):
+    def test_minami_rows_bit_identical_whatever_the_block(self, monkeypatch, draws, sides,
+                                                          background):
         # a 7-sample run is the prefix of a run over more than one scheduling
         # block, realization by realization, and one-row sweeps change nothing
         values = []
         monkeypatch.setattr(mc, "_estimate", lambda v: values.append(v) or mc.McEstimate(0, 0, 0))
-        for samples, workers in [(7, 1), (mc._BLOCK_SIZE + 37, 2)]:
+        for samples, workers in [(7, 1), (block_rows(sides) + 37, 2)]:
             cfg = make_config(sides=sides, background=background, samples=samples, workers=workers)
             mc.mc_minami(cfg, 0.3 + 0.2j, [3, 9])
+        assert sorted(draws) == [7, 37, block_rows(sides)]
         monkeypatch.setattr(rl.spectral, "_STACK_BYTES", 1)
         mc.mc_minami(make_config(sides=sides, background=background, samples=7), 0.3 + 0.2j, [3, 9])
         small, big, one_row = values
         assert small.tobytes() == big[:7].tobytes() == one_row.tobytes()
 
     # at these seeds the realization of least Im g is 275, in the second
-    # scheduling block, on the chain and 255, the last of the first, on the box
+    # 256-row scheduling block, on the chain and 255, the last of the first, on the box
     @pytest.mark.parametrize("sides, seed", [((6,), 11), ((3, 4), 9)])
     @pytest.mark.parametrize("failing", ["all", "least"])
-    def test_minami_fault_names_the_first_failing_realization(self, monkeypatch, sides, seed,
-                                                              failing):
+    def test_minami_fault_names_the_first_failing_realization(self, monkeypatch, blocks_of_256,
+                                                              sides, seed, failing):
         # as the per-sample reference path does, whichever scheduling block fails
-        cfg = make_config(sides=sides, samples=mc._BLOCK_SIZE + 37, seed=seed, workers=2)
+        cfg = make_config(sides=sides, samples=256 + 37, seed=seed, workers=2)
         z, sites = 0.5 + 0.1j, [4]
 
         def lowest(sample):  # the smallest eigenvalue of Im g, here Im g itself
@@ -391,27 +493,29 @@ class TestReproducibility:
         with pytest.raises(rl.NumericalFault, match=f"^realization {expected}: imaginary part"):
             mc.run_realizations(cfg, lambda s: rl.det_im(rl.green_block(s, z, sites)))
 
-    @pytest.mark.parametrize("samples", [130, mc._BLOCK_SIZE + 37])
-    def test_counts_bit_identical_across_worker_counts(self, samples):
-        # the block-drawn count path, on either side of one scheduling block
+    @pytest.mark.parametrize("samples", [130, 256 + 37])
+    def test_counts_bit_identical_across_worker_counts(self, blocks_of_256, draws, samples):
+        # the block-drawn count path, on either side of one 256-row scheduling block
         results = {}
         for workers in (1, 3, 8):
             cfg = make_config(sides=(6,), samples=samples, seed=42, workers=workers)
             results[workers] = (mc.mc_wegner_nlevel(cfg, (0.2, 0.9), 1).estimate,
                                 mc.estimate_ids(cfg, 0.7))
         assert results[1] == results[3] == results[8]
+        assert draws == ([130] if samples == 130 else [256, 37]) * 6
 
     @pytest.mark.parametrize("sides", [pytest.param((6,), id="chain"),
                                        pytest.param((4, 4), id="dense")])  # per-row: never pooled
-    def test_block_boundary_independence(self, sides):
+    def test_block_boundary_independence(self, draws, sides):
         # more samples than one scheduling block
-        big = mc._BLOCK_SIZE + 37
+        big = block_rows(sides) + 37
         vals = {}
         for workers in (1, 4):
             cfg = make_config(sides=sides, samples=big, seed=5, workers=workers)
             vals[workers] = mc.run_realizations(
                 cfg, lambda s: float(np.linalg.eigvalsh(s.matrix)[0]))
         assert vals[1] == vals[4]
+        assert draws == [block_rows(sides), 37] * 2
 
     @pytest.mark.parametrize("sides, background", [
         ((7,), rl.Laplacian()),
@@ -421,8 +525,8 @@ class TestReproducibility:
         ((2, 3), rl.Laplacian()),          # dense: eigvalsh of each row
         ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2)),
     ])
-    def test_counts_match_per_sample_reference(self, sides, background):
-        cfg = make_config(sides=sides, background=background, samples=mc._BLOCK_SIZE + 37,
+    def test_counts_match_per_sample_reference(self, blocks_of_256, draws, sides, background):
+        cfg = make_config(sides=sides, background=background, samples=256 + 37,
                           seed=2 ** 64 + 9, workers=2)
         for a, b in [(0.1, 0.9), (-math.inf, 1.3)]:
             counts = mc.count_realizations(cfg, a, b)
@@ -430,6 +534,34 @@ class TestReproducibility:
                 cfg, lambda s: rl.count_eigenvalues(s.matrix, (a, b)))
             assert counts.dtype.kind == "i"
             assert counts.tolist() == reference
+        assert draws == [256, 37] * 4
+
+    @pytest.mark.parametrize("experiment, model", [
+        pytest.param({"name": "wegner", "interval": [0.2, 0.9], "n": 2}, {}, id="wegner"),
+        pytest.param({"name": "ids", "energy": 0.7}, {}, id="ids"),
+        pytest.param({"name": "dos", "energy": 0.5, "bandwidth": 0.2}, {}, id="dos"),
+        pytest.param({"name": "minami", "z": [0.5, 0.1], "delta": [3, 4]}, {}, id="minami-chain"),
+        pytest.param({"name": "minami", "z": [0.5, 0.1], "delta": [1, 7]}, {"sides": [4, 3]},
+                     id="minami-box"),
+        pytest.param({"name": "minami", "z": [0.5, 0.1], "delta": [3, 9]},
+                     {"background": {"variant": "decaying", "amplitude": 1.0, "rate": 1.2}},
+                     id="minami-decaying"),
+        pytest.param({"name": "spacing", "energy": 0.5, "window": 4.0, "dos_bandwidth": 0.3}, {},
+                     id="spacing"),
+        pytest.param({"name": "fracmoment", "energy": 0.5, "eps": 0.1, "s": 0.5}, {},
+                     id="fracmoment")])
+    def test_records_whatever_the_block(self, monkeypatch, draws, experiment, model):
+        # 1-row blocks, 7-row blocks and the production blocks write the same bytes
+        raw = {"model": {"sides": [12], "background": {"variant": "laplacian"},
+                         "density": {"variant": "uniform", "lo": 0.0, "hi": 1.0}, **model},
+               "experiment": {**experiment, "samples": 40}, "runtime": {"seed": 3, "workers": 2}}
+        written = []
+        for size, values in [(1, 0), (7, 0), (mc._BLOCK_SIZE, mc._BLOCK_VALUES)]:
+            monkeypatch.setattr(mc, "_BLOCK_SIZE", size)
+            monkeypatch.setattr(mc, "_BLOCK_VALUES", values)
+            written.append(cli.dumps(cli.run_experiment(cli.parse_config(raw))))
+        assert written[0] == written[1] == written[2]
+        assert sorted(draws) == sorted([1] * 40 + [7] * 5 + [5] + [40])
 
     def test_estimator_is_pure(self):
         cfg = make_config(samples=60, seed=31)
