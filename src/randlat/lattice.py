@@ -1,11 +1,11 @@
 """Finite lattice boxes, background operators, disorder densities and
-assembly of single-realization Hamiltonians H = H0 + diag(V).  A
-nearest-neighbour background is its slices along axis 0 in any dimension
-(``BlockTridiagonal``; a chain's are single sites), a ``decaying`` one its
-dense matrix (``build_background``, the reference for both); one builder,
-``background_operator``, gives either form.  Every run draws potentials for
-a block of realizations in one vectorized pass (``sample_potentials``); the
-per-realization draw of the same stream (``sample_potential``) is its reference."""
+assembly of single-realization Hamiltonians H = H0 + diag(V).  Every
+background is its slices along axis 0 (``BlockTridiagonal``, built by
+``background_operator``): a chain's are single sites, and a ``decaying`` one
+is one slice, its dense matrix (``build_background``, the reference for all).
+Every run draws potentials for a block of realizations in one vectorized
+pass (``sample_potentials``); the per-realization draw of the same stream
+(``sample_potential``) is its reference."""
 
 from __future__ import annotations
 
@@ -453,25 +453,25 @@ def sample_potentials(box: LatticeBox, density: DisorderDensity, master_seed: in
 
 
 class BlockTridiagonal(NamedTuple):
-    """A nearest-neighbour background in slices along axis 0: slice k holds
-    the m = s_2 * ... * s_d sites with x_0 = k, consecutive in the
-    lexicographic order, so a 1D chain's slices are its sites (m = 1).
-    Bonds along axes 1..d-1 stay inside a slice; a bond along axis 0 joins
-    site r of slice k to site r of slice k + 1, so each coupling block is
-    diagonal."""
+    """A background in slices, each coupled to the next by a diagonal block.
+    A nearest-neighbour model's slice k holds the m = s_2 * ... * s_d sites
+    with x_0 = k, consecutive in the lexicographic order (a chain's are its
+    sites, m = 1); a bond along axis 0 joins site r of slice k to site r of
+    slice k + 1.  Any other background is one slice of all N sites."""
 
-    blocks: np.ndarray     # (s_1, m, m): the background on each slice
-    couplings: np.ndarray  # (s_1 - 1, m): h_{x, x + m} for the sites x of slice k
+    blocks: np.ndarray     # (slices, m, m): the background on each slice
+    couplings: np.ndarray  # (slices - 1, m): h_{x, x + m} for the sites x of slice k
 
 
 Background = Union[BlockTridiagonal, np.ndarray]
 
 
-def background_operator(box: LatticeBox, spec: BackgroundSpec) -> Background:
-    """The background on ``box``: a nearest-neighbour model's slices, built
-    with no N x N array, else the dense matrix (``build_background``)."""
+def background_operator(box: LatticeBox, spec: BackgroundSpec) -> BlockTridiagonal:
+    """The background on ``box`` as its slices: a nearest-neighbour model's
+    along axis 0, built with no N x N array, else one slice holding the
+    dense matrix (``build_background``)."""
     if not isinstance(spec, _NEAREST_NEIGHBOUR):
-        return build_background(box, spec)
+        return BlockTridiagonal(build_background(box, spec)[None], np.zeros((0, box.n_sites)))
     diagonal, [(_, _, along_axis0), *inside] = _nearest_neighbour(box, spec)
     slices, m = box.sides[0], box.n_sites // box.sides[0]
     blocks = np.zeros((slices, m, m),
@@ -486,8 +486,8 @@ def background_operator(box: LatticeBox, spec: BackgroundSpec) -> Background:
 
 
 def dense_hamiltonian(background: Background, potential: np.ndarray) -> np.ndarray:
-    """The dense matrix of background + diag(potential), from either form to
-    the bit as ``build_background`` gives it: a fresh array, free to change."""
+    """The dense matrix of background + diag(potential), from the slices (or
+    a dense array) to the bit as ``build_background`` gives it: a fresh array."""
     if isinstance(background, np.ndarray):
         h = background.copy()
     else:

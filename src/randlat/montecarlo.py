@@ -8,13 +8,13 @@ block; reduction happens in realization-index order, so results are
 bit-identical for any worker count and any block size.
 
 One driver, ``_map_blocks``, draws each scheduling block of realizations at
-once and hands it to a kernel on ``background_operator``'s form: the counts of
-``wegner``, ``ids`` and ``dos`` (``count_block``), det Im g for ``mc_minami``
-(``det_im_block``), or the per-sample kernels of ``spacing`` and
-``fracmoment`` row by row (``run_realizations``).  A block holds about
+once and hands it to a kernel on ``background_operator``'s slices: the counts
+of ``wegner``, ``ids`` and ``dos`` (``count_block``), the slice sweep
+``slice_green`` of ``mc_minami`` and ``frac_moment_decay``, or ``spacing``'s
+spectra row by row (``run_realizations``).  A block holds about
 ``_BLOCK_VALUES`` potential values, and at least ``_BLOCK_SIZE`` realizations:
 its size depends on the box alone, never on ``workers``.  Only ``mc_minami``
-on slices of more than one site shares the blocks among ``workers`` threads.
+over several slices of several sites shares the blocks among ``workers`` threads.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Background, BackgroundSpec, BlockTridiagonal, DisorderDensity,
-                      HamiltonianSample, LatticeBox, SeedRecord, as_integer,
-                      background_operator, sample_potentials)
+from .lattice import (BackgroundSpec, BlockTridiagonal, DisorderDensity, HamiltonianSample,
+                      LatticeBox, SeedRecord, as_integer, background_operator,
+                      sample_potentials)
 from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
-                       det_im_block, green_columns, imag_part, spectrum, sum_principal_minors)
+                       det_im_block, green_columns, imag_part, slice_green, spectrum,
+                       sum_principal_minors)
 
 # A scheduling block holds max(_BLOCK_SIZE, _BLOCK_VALUES // N) realizations of a box of
 # N sites (``_block_rows``), so that on a small box each numpy call over it does real
@@ -64,7 +65,7 @@ class McConfig:
 # ---------------------------------------------------------------------------
 
 def check_count(name: str, value: int, least: int = 1) -> int:
-    if value < least:
+    if not value >= least:  # NaN too
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
@@ -78,7 +79,7 @@ def check_interval(interval: tuple[float, float]) -> tuple[float, float]:
 
 
 def check_positive(name: str, value: float) -> float:
-    if value <= 0:
+    if not value > 0:  # NaN too
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
 
@@ -150,7 +151,7 @@ def _block_rows(box: LatticeBox) -> int:
 
 
 def _map_blocks(config: McConfig,
-                kernel: Callable[[Background, np.ndarray, range], Sequence],
+                kernel: Callable[[BlockTridiagonal, np.ndarray, range], Sequence],
                 stacked: bool = False) -> list:
     """``kernel(operator, potentials, block)`` of every scheduling block, in
     order: ``operator`` is the model's ``background_operator``, built once,
@@ -158,8 +159,8 @@ def _map_blocks(config: McConfig,
     ``NumericalFault`` is raised again naming the realization of its ``row``.
     numpy holds the interpreter lock around one matrix's LAPACK call and
     releases it around a stack, so only a ``stacked`` kernel (``mc_minami``'s
-    slice sweep) on slices of m > 1 sites shares the blocks among
-    ``config.workers`` threads; every other kernel runs on the calling thread."""
+    slice sweep) over more than one slice of m > 1 sites shares the blocks
+    among ``config.workers`` threads; every other kernel runs on the calling thread."""
     model = config.model
     operator = background_operator(model.box, model.background)
 
@@ -173,7 +174,7 @@ def _map_blocks(config: McConfig,
     rows = _block_rows(model.box)
     blocks = [range(start, min(start + rows, config.samples))
               for start in range(0, config.samples, rows)]
-    pooled = stacked and isinstance(operator, BlockTridiagonal) and operator.blocks.shape[1] > 1
+    pooled = stacked and min(operator.blocks.shape[:2]) > 1  # (slices, m)
     if not pooled or config.workers == 1 or len(blocks) == 1:
         return [run_block(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -186,7 +187,7 @@ def run_realizations(config: McConfig,
     realization-index order: a per-row adapter over ``_map_blocks``."""
     box = config.model.box
 
-    def rows(operator: Background, potentials: np.ndarray, block: range) -> list:
+    def rows(operator: BlockTridiagonal, potentials: np.ndarray, block: range) -> list:
         out = []
         for row, (i, potential) in enumerate(zip(block, potentials)):
             sample = HamiltonianSample(box, operator, potential, SeedRecord(config.master_seed, i))
@@ -212,9 +213,7 @@ def count_realizations(config: McConfig, a: float, b: float) -> np.ndarray:
 def mc_minami(config: McConfig, z, indices: Sequence[int]) -> BoundCheck:
     """Mean of det Im g over realizations vs the bound
     (pi * sup_density)^n for a subset of n sites, each scheduling block
-    reduced at once (``det_im_block``): by the slice sweep on a
-    nearest-neighbour background, by one dense solve per realization
-    otherwise."""
+    reduced at once by the slice sweep (``det_im_block``)."""
     zc = _as_z(z)
     vals = np.concatenate(_map_blocks(
         config, lambda op, v, _: det_im_block(op, v, zc, indices), stacked=True))
@@ -333,9 +332,9 @@ def spacing_statistics(point_sets: Sequence[np.ndarray], window: float,
     Exponential(rate).  Window counts are tested against
     Poisson(2 * window * rate).
     """
-    from scipy import stats
     check_positive("window", window)
     check_positive("rate", rate)
+    from scipy import stats
     gap_chunks = []
     counts = []
     for pts in point_sets:
@@ -399,7 +398,8 @@ class DecayFit:
 def frac_moment_decay(config: McConfig, energy: float, eps: float, s: float,
                       max_distance: Optional[int] = None) -> DecayFit:
     """Estimate E|G(0, y; E + i*eps)|^s for y along the first axis and
-    fit the log-mean against distance."""
+    fit the log-mean against distance; each scheduling block's
+    G(targets, origin) comes from one slice sweep (``slice_green``)."""
     check_exponent(s)
     check_positive("eps", eps)
     box = config.model.box
@@ -409,10 +409,9 @@ def frac_moment_decay(config: McConfig, energy: float, eps: float, s: float,
     dists = np.arange(1, reach + 1)
     targets = [box.index_of((int(r),) + (0,) * (box.dimension - 1)) for r in dists]
 
-    def kernel(sample: HamiltonianSample) -> np.ndarray:
-        return np.abs(green_columns(sample, zc, [origin])[targets, 0]) ** s
-
-    moments = np.array(run_realizations(config, kernel))
+    # C-contiguous rows, so that the mean below sums the realizations in order
+    moments = np.concatenate(_map_blocks(
+        config, lambda op, v, _: np.abs(slice_green(op, v, zc, targets, [origin])[:, :, 0]) ** s))
     means = moments.mean(axis=0)
     with np.errstate(divide="ignore"):
         log_means = np.log(means)

@@ -3,16 +3,18 @@ Green blocks, the rank-n perturbation (Krein) and Schur-complement
 identities, determinants of imaginary parts, and symmetric-function
 identities for sums of principal minors.  Every spectrum (``spectrum``),
 eigenvalue count in [a, b) of a block of realizations (``count_block``),
-solve with H - z (``green_columns``) and det Im g of a block of
-realizations (``det_im_block``) goes through this module.
+solve with H - z (``green_columns`` for one sample, ``slice_green`` for a
+block) and det Im g of a block (``det_im_block``) goes through this module.
 
 On slices of one site (``lattice.BlockTridiagonal`` of a chain, or of a box
 such as (N, 1)) spectra and counts work on the two bands, a block's counts by
 one Sturm sweep; on any other background they work on the dense H
 (``lattice.dense_hamiltonian``), as the per-sample solves of ``green_columns``
-do.  ``det_im_block`` sweeps the slices for a whole block at once, and solves
-a dense background row by row.  The dense ``HamiltonianSample.matrix``, with
-``green_block`` and ``det_im`` on it, stays the reference for both paths."""
+do.  Every Green quantity of a block of realizations, det Im g
+(``det_im_block``) and G(targets, sources) for ``fracmoment``, comes from one
+kernel, the slice sweep ``slice_green``, on every background: a ``decaying``
+one is the one-slice case.  The dense ``HamiltonianSample.matrix``, with
+``green_columns``, ``green_block`` and ``det_im`` on it, stays the reference."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import Background, BlockTridiagonal, HamiltonianSample, as_integer, dense_hamiltonian
+from .lattice import BlockTridiagonal, HamiltonianSample, as_integer, dense_hamiltonian
 
 
 class NonHermitianError(ValueError):
@@ -152,7 +154,7 @@ def _count_below(diagonals: np.ndarray, off_squared: np.ndarray, x: np.ndarray) 
     return count + (pivot < 0)
 
 
-def count_block(background: Background, potentials: np.ndarray, a: float,
+def count_block(background: BlockTridiagonal, potentials: np.ndarray, a: float,
                 b: float) -> np.ndarray:
     """Eigenvalue counts in [a, b) of the realizations background + diag(V)
     for each row V of ``potentials`` (B, N), as an int array.  On slices of
@@ -262,22 +264,12 @@ def det_im(block: Union[GreenBlock, np.ndarray]) -> float:
     return float(np.exp(_log_det_positive(imag_part(m), "imaginary part")))
 
 
-def det_im_block(operator: Background, potentials: np.ndarray, z,
+def det_im_block(operator: BlockTridiagonal, potentials: np.ndarray, z,
                  indices: Sequence[int]) -> np.ndarray:
-    """det Im g for g the full Green block on ``indices`` of each realization
-    operator + diag(V), V a row of ``potentials`` (B, N): a (B,) array, row b
-    equal to ``det_im(green_block(sample_b, z, indices))`` to rounding and the
-    same whatever the other rows.  On a ``BlockTridiagonal`` operator, the
-    slice sweep ``_slice_green`` over many rows at once; on a dense one, one
-    row's ``green_columns`` at a time.  A non-positive Im g raises
-    NumericalFault with the first failing row as its ``row``."""
-    zc = _as_z(z)
-    idx = list(_check_subset(potentials.shape[1], indices))
-    if isinstance(operator, np.ndarray):
-        g = np.stack([green_columns(dense_hamiltonian(operator, v), zc, idx)[idx]
-                      for v in potentials])
-    else:
-        g = _slice_green(operator, potentials, zc, idx)
+    """det Im g for g = ``slice_green``'s G(indices, indices) of each row V of
+    ``potentials`` (B, N): row b is ``det_im(green_block(sample_b, z, indices))``
+    to rounding.  A non-positive Im g raises NumericalFault naming the first such ``row``."""
+    g = slice_green(operator, potentials, z, indices, indices)
     return np.exp(_log_det_positive(imag_part(g), "imaginary part"))
 
 
@@ -286,32 +278,33 @@ def det_im_block(operator: Background, potentials: np.ndarray, z,
 _STACK_BYTES = 1 << 17
 
 
-def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex,
-                 idx: list[int]) -> np.ndarray:
-    """(B, n, n): the Green block on the sites ``idx`` of every row, by the
-    recursive Green's function sweep (MacKinnon & Kramer, Z. Phys. B 53, 1983).
-    The slices left of the first slice holding a site of ``idx``, and right of
-    the last, are folded into self-energies by Schur complements, one slice at a
-    time: with C = diag(c_k) the coupling of slice k to k + 1 and
-    g the inverse of slice k's block of H - z less the self-energy so far, the
-    next slice's is C* g C (left) or C g C* (right).  Only the M sites of the
-    slices in between are solved densely.  Both steps take a few rows at a
-    time (``_STACK_BYTES``).  On slices of m = 1 site (a chain) every block is
-    a scalar and the sweep is a continued fraction, elementwise over the rows."""
+def slice_green(operator: BlockTridiagonal, potentials: np.ndarray, z,
+                targets: Sequence[int], sources: Sequence[int]) -> np.ndarray:
+    """(B, len(targets), len(sources)), C-contiguous: G(T, S), the rows
+    ``targets`` and columns ``sources`` of (H - z)^{-1} for every realization
+    H = operator + diag(V), V a row of ``potentials`` (B, N), each row the
+    same whatever the other rows.  The recursive Green's function sweep
+    (MacKinnon & Kramer, Z. Phys. B 53, 1983) folds the slices left of the
+    first slice holding a site of T or S, and right of the last, into
+    self-energies by Schur complements, one slice at a time: with
+    C = diag(c_k) the coupling of slice k to k + 1 and g the inverse of slice
+    k's block of H - z less the self-energy so far, the next slice's is
+    C* g C (left) or C g C* (right).  Only the slices in between, the span,
+    are solved densely, one right-hand side per source.  Both steps take a
+    few rows at a time (``_STACK_BYTES``).  On a chain (m = 1) the sweep is a
+    continued fraction, elementwise over the rows; one slice is solved whole."""
+    zc = _as_z(z)
     blocks, c = operator
     slices, m = blocks.shape[:2]
-    first, last = min(idx) // m, max(idx) // m
+    targets, sources = (_check_subset(slices * m, sites) for sites in (targets, sources))
+    first, last = min(targets + sources) // m, max(targets + sources) // m
     shifted = blocks - zc * np.eye(m)
-    size = (last - first + 1) * m
-    span = np.zeros((size, size), dtype=complex)  # H - z on the span, less the potential
-    for j in range(last - first + 1):
-        span[j * m:(j + 1) * m, j * m:(j + 1) * m] = shifted[first + j]
-    upper = np.arange(size - m)  # site x of the span and x + m, one slice on
-    span[upper, upper + m] = c[first:last].ravel()
-    span[upper + m, upper] = c[first:last].conj().ravel()
-    local = [i - first * m for i in idx]
-    unit = np.zeros((1, size, len(idx)), dtype=complex)  # one matrix, not a stack of vectors
-    unit[0, local, range(len(idx))] = 1.0
+    size = (last - first + 1) * m  # H - z on the span, less the potential:
+    span = dense_hamiltonian(BlockTridiagonal(shifted[first:last + 1], c[first:last]),
+                             np.zeros(size))
+    unit = np.zeros((1, size, len(sources)), dtype=complex)  # one matrix, not a stack of vectors
+    unit[0, [i - first * m for i in sources], range(len(sources))] = 1.0
+    rows_out = [i - first * m for i in targets]
 
     inv = np.reciprocal if m == 1 else np.linalg.inv
     diag = np.arange(m)
@@ -340,7 +333,7 @@ def _slice_green(operator: BlockTridiagonal, potentials: np.ndarray, zc: complex
             h[:, range(size), range(size)] += v[r, first * m:(last + 1) * m]
             h[:, :m, :m] -= left[r]
             h[:, -m:, -m:] -= right[r]
-            out.append(np.linalg.solve(h, unit)[:, local])
+            out.append(np.take(np.linalg.solve(h, unit), rows_out, axis=1))
     return np.concatenate(out)
 
 

@@ -15,6 +15,21 @@ def background_variants(dimension):
     ]
 
 
+# every background family on a box of d axes, its parameters drawn from ``local``
+BOX_FAMILIES = {
+    "laplacian": lambda local, d: rl.Laplacian(),
+    "periodic": lambda local, d: rl.PeriodicPotential(
+        period=(2,) * d, values=tuple(local.uniform(-2, 2, size=2 ** d))),
+    "magnetic": lambda local, d: rl.Magnetic(
+        axis_phases=tuple(local.uniform(-4, 4, size=int(local.integers(0, d + 1)))),
+        field=float(local.uniform(-2, 2)) if d >= 2 else 0.0),
+    "none": lambda local, d: None,
+    "decaying": lambda local, d: rl.DecayingHopping(
+        amplitude=1.0, rate=float(local.uniform(0.5, 2)),
+        truncation_radius=float(local.uniform(1, 3)) if local.integers(0, 2) else None),
+}
+
+
 def random_box(rng, max_side=8):
     """A random 1D box of 4 to max_side**2 sites or 2D box of sides 2 to max_side."""
     dim = int(rng.integers(1, 3))

@@ -425,14 +425,21 @@ class TestImports:
 
     def test_2d_minami_leaves_scipy_linalg_unloaded(self):
         # the slice sweep is numpy alone; importing scipy.linalg would take about
-        # as long as the whole setup of a 2D minami run
-        raw = dict(MINAMI_CONFIG, model=dict(MINAMI_CONFIG["model"], sides=[6, 5]),
-                   experiment={"name": "minami", "z": [0.5, 0.1], "delta": [13, 14],
-                               "samples": 20})
+        # as long as the whole setup of a 2D minami run.  It serves minami in 2D,
+        # fracmoment in 2D and minami on a decaying background (one slice)
+        minami = {"name": "minami", "z": [0.5, 0.1], "delta": [13, 14], "samples": 20}
+        box = dict(MINAMI_CONFIG["model"], sides=[6, 5])
+        decaying = dict(box, background={"variant": "decaying", "amplitude": 1.0, "rate": 1.2})
+        configs = [dict(MINAMI_CONFIG, model=box, experiment=minami),
+                   dict(MINAMI_CONFIG, model=box,
+                        experiment={"name": "fracmoment", "energy": 0.5, "eps": 0.1, "s": 0.5,
+                                    "samples": 20}),
+                   dict(MINAMI_CONFIG, model=decaying, experiment=minami)]
         code = ("import json, sys; from randlat import cli\n"
-                "cli.run_experiment(cli.parse_config(json.loads(sys.argv[1])))\n"
+                "for raw in json.loads(sys.argv[1]):\n"
+                "    cli.run_experiment(cli.parse_config(raw))\n"
                 "print('scipy.linalg' in sys.modules)")
-        assert self.run_python(code, json.dumps(raw)) == "False"
+        assert self.run_python(code, json.dumps(configs)) == "False"
 
 
 class TestMain:

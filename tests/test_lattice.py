@@ -180,8 +180,10 @@ class TestBackground:
     def test_decaying_slices_stay_dense(self):
         box, spec = rl.LatticeBox((2, 3)), rl.DecayingHopping(amplitude=1.0, rate=1.2)
         form = rl.lattice.background_operator(box, spec)
-        assert isinstance(form, np.ndarray)
-        assert np.array_equal(form, rl.build_background(box, spec))
+        # one slice of all six sites: the dense build, to the bit
+        assert isinstance(form, rl.lattice.BlockTridiagonal)
+        assert form.blocks.shape == (1, 6, 6) and form.couplings.shape == (0, 6)
+        assert form.blocks.tobytes() == rl.build_background(box, spec).tobytes()
 
 
 class TestDensities:

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlat as rl
 from randlat import cli
 from randlat import montecarlo as mc
+from conftest import BOX_FAMILIES
 
 
 def make_config(sides=(10,), background=rl.Laplacian(),
@@ -113,6 +116,32 @@ class TestBounds:
             mc.mc_wegner_nlevel(cfg, (0.5, 0.4), 1)
         with pytest.raises(ValueError):
             mc.mc_wegner_nlevel(cfg, (0.0, 1.0), 0)
+
+
+# every public entry point with one parameter NaN, which no check may let through
+NAN_CALLS = {
+    "samples": lambda: mc.McConfig(model=make_config().model, samples=math.nan, master_seed=1),
+    "workers": lambda: make_config(workers=math.nan),
+    "check_count": lambda: mc.check_count("n", math.nan),
+    "check_positive": lambda: mc.check_positive("h", math.nan),
+    "wegner-n": lambda: mc.mc_wegner_nlevel(make_config(samples=5), (0.2, 0.9), math.nan),
+    "wegner-interval": lambda: mc.mc_wegner_nlevel(make_config(samples=5), (math.nan, 0.9), 1),
+    "minami-z": lambda: mc.mc_minami(make_config(samples=5), complex(0.5, math.nan), [4]),
+    "dos-bandwidth": lambda: mc.estimate_dos(make_config(samples=5), 0.5, bandwidth=math.nan),
+    "spacing-window": lambda: mc.spacing_experiment(make_config(samples=5), 0.5, window=math.nan,
+                                                    rate=1.0),
+    "spacing-rate": lambda: mc.spacing_experiment(make_config(samples=5), 0.5, 1.0, rate=math.nan),
+    "spacing-dos_bandwidth": lambda: mc.spacing_experiment(make_config(samples=5), 0.5, 1.0,
+                                                           dos_bandwidth=math.nan),
+    "fracmoment-eps": lambda: mc.frac_moment_decay(make_config(samples=5), 0.5, math.nan, 0.5),
+    "fracmoment-s": lambda: mc.frac_moment_decay(make_config(samples=5), 0.5, 0.1, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_parameters_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestMinorSumLinkage:
@@ -261,6 +290,41 @@ class TestFracMomentDecay:
                                  0.5, 0.1, 0.5)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
+           family=st.sampled_from(sorted(BOX_FAMILIES)),
+           max_distance=st.one_of(st.none(), st.integers(3, 5)))
+    def test_block_values_match_the_dense_reference(self, seed, d, family, max_distance):
+        # every row of every block (here of 2 rows), |G(target, origin)|^s from
+        # the slice sweep, against frac_moment on that realization's dense H
+        local = np.random.default_rng(seed)
+        sides = ((int(local.integers(4, 10 if d == 1 else 7)),)
+                 + tuple(int(x) for x in local.integers(1, 4, size=d - 1)))
+        spec = BOX_FAMILIES[family](local, d)
+        cfg = make_config(sides=sides, background=spec, density=rl.Uniform(-2.0, 2.0),
+                          samples=int(local.integers(1, 6)), seed=int(local.integers(0, 2 ** 32)))
+        z = complex(local.uniform(-3, 4), local.uniform(0.02, 1.5))
+        s = float(local.uniform(0.1, 0.9))
+        blocks, map_blocks = [], mc._map_blocks
+
+        def recording(*args, **kwargs):
+            blocks.extend(map_blocks(*args, **kwargs))
+            return blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_map_blocks", recording)
+            patch.setattr(mc, "_BLOCK_SIZE", 2)
+            patch.setattr(mc, "_BLOCK_VALUES", 0)
+            fit = mc.frac_moment_decay(cfg, z.real, z.imag, s, max_distance)
+        box = cfg.model.box
+        assert [len(b) for b in blocks] == [2] * (cfg.samples // 2) + [1] * (cfg.samples % 2)
+        assert np.concatenate(blocks).shape == (cfg.samples, fit.distances.size)
+        for i, row in enumerate(np.concatenate(blocks)):
+            sample = rl.assemble(box, spec, cfg.model.density, (cfg.master_seed, i))
+            reference = [rl.frac_moment(sample, box.index_of((int(r),) + (0,) * (d - 1)), 0, z, s)
+                         for r in fit.distances]
+            np.testing.assert_allclose(row, reference, rtol=1e-10, atol=0)
+
+
 def lorentz_mean(lo: float, hi: float, z: complex) -> float:
     """E Im (V - z)^-1 for V ~ Uniform(lo, hi): the mean of Im g on one site of
     the diagonal model."""
@@ -275,14 +339,17 @@ class TestDiagonalWitnesses:
     blocks.  Mutations killed, each confirmed on a copy of the code:
     - ``mc_minami`` reporting 3 det Im g: every minami case here fails, and no
       other test does;
-    - a Wegner count of > n in place of >= n: every wegner case here fails;
+    - a Wegner count of > n in place of >= n: every wegner case here fails
+      but the rarest (n = 3 on [0.495, 0.505), about 8 expected hits);
+    - a DOS over h |box| in place of 2 h |box|: every dos case here fails;
     - ``BoundCheck.passed`` with a 30-stderr margin:
       ``TestBounds.test_passes_at_three_stderr_and_no_further`` fails."""
 
     @pytest.mark.parametrize("sides, sites", [
         pytest.param((16,), [5], id="chain-n1"), pytest.param((16,), [5, 6], id="chain-n2"),
         pytest.param((4, 4), [5], id="box-n1"), pytest.param((4, 4), [5, 6], id="box-n2-slice"),
-        pytest.param((4, 4), [5, 10], id="box-n2-apart")])
+        pytest.param((4, 4), [5, 10], id="box-n2-apart"),
+        pytest.param((4, 3, 3), [0, 13, 35], id="box3d-n3")])
     def test_minami_mean_is_the_lorentzian_power(self, draws, sides, sites):
         # E det Im g = prod over the sites of E Im (V_x - z)^-1, near (pi rho)^n
         z = 0.5 + 0.1j
@@ -294,23 +361,40 @@ class TestDiagonalWitnesses:
         assert len(draws) == 4
 
     @pytest.mark.parametrize("interval", [(0.45, 0.55), (0.495, 0.505)])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_wegner_frequency_is_the_binomial_tail(self, draws, interval, n):
+    @pytest.mark.parametrize("n, sides", [(1, (10,)), (2, (10,)), (3, (4, 3, 3))],
+                             ids=["1", "2", "3-box3d"])
+    def test_wegner_frequency_is_the_binomial_tail(self, draws, interval, n, sides):
         # the count in [a, b) of N i.i.d. Uniform(0, 1) levels is Binomial(N, b - a),
         # so the hits over S samples are Binomial(S, P(count >= n)): an exact
         # two-sided binomial test, which holds for rare hits where +-k stderr does not
         from scipy import stats
-        cfg = make_config(background=None, samples=3 * block_rows((10,)) + 100, seed=2024)
+        cfg = make_config(sides=sides, background=None, samples=3 * block_rows(sides) + 100,
+                          seed=2024)
         a, b = interval
         tail = float(stats.binom.sf(n - 1, cfg.model.box.n_sites, b - a))
         hits = round(mc.mc_wegner_nlevel(cfg, interval, n).estimate.mean * cfg.samples)
         assert stats.binomtest(hits, cfg.samples, tail).pvalue > 1e-4, (hits, tail * cfg.samples)
         assert len(draws) == 4
 
+    @pytest.mark.parametrize("energy, bandwidth", [(0.5, 0.05), (0.98, 0.05)])
+    @pytest.mark.parametrize("sides", [(10,), (4, 3, 3)])
+    def test_dos_is_the_window_probability(self, draws, sides, energy, bandwidth):
+        # E dos = (F(E + h) - F(E - h)) / 2h, here p / 2h for p the length of
+        # [E - h, E + h) inside [0, 1): the window's counts summed over S samples
+        # of N levels are Binomial(S N, p), tested exactly and two-sided
+        from scipy import stats
+        cfg = make_config(sides=sides, background=None, samples=3 * block_rows(sides) + 100,
+                          seed=2024)
+        trials = cfg.samples * cfg.model.box.n_sites
+        p = min(energy + bandwidth, 1.0) - max(energy - bandwidth, 0.0)
+        total = round(mc.estimate_dos(cfg, energy, bandwidth).mean * 2 * bandwidth * trials)
+        assert stats.binomtest(total, trials, p).pvalue > 1e-4, (total, p * trials)
+        assert len(draws) == 4
+
 
 class TestBackgroundForm:
     """A nearest-neighbour background is its slices in any dimension: no run
-    on one builds the dense N x N matrix.  Only ``decaying`` stays dense."""
+    on one builds the dense N x N matrix.  Only ``decaying`` does, as its one slice."""
 
     class DenseBuild(Exception):
         pass
@@ -375,7 +459,7 @@ class TestCallingThread:
     """Every experiment draws each scheduling block at once, never one
     realization at a time.  Only ``mc_minami`` on slices of more than one
     site uses the thread pool: every other kernel, and ``mc_minami`` on a
-    chain or a dense background, runs on the calling thread."""
+    chain or on one slice (a ``decaying`` background), runs on the calling thread."""
 
     def test_chains_and_counts_never_reach_the_pool(self, monkeypatch, draws):
         def refuse(*args, **kwargs):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import randlat as rl
 from randlat.lattice import BlockTridiagonal
 from randlat.spectral import (count_block, count_in, det_im, det_im_block, elementary_symmetric,
-                              green_block, green_columns, imag_part, spectrum)
-from conftest import background_variants, random_box, random_triple
+                              green_block, green_columns, imag_part, slice_green, spectrum)
+from conftest import BOX_FAMILIES, background_variants, random_box, random_triple
 
 
 # the nearest-neighbour families on a box of n x 1 x ... x 1 sites (d axes)
@@ -439,29 +439,16 @@ class TestTridiagonalPath:
                                        atol=1e-12 * max(1.0, np.abs(shifted).max()))
 
     def test_other_models_stay_dense(self):
-        # only decaying hopping is held dense; slices of more than one site
-        # are held as slices, and their kernels work on the dense H
+        # decaying hopping is one slice, its dense matrix; slices of more than
+        # one site are held as slices, and their kernels work on the dense H
         box, spec = rl.LatticeBox((6,)), rl.DecayingHopping(amplitude=1.0, rate=1.2)
-        sample = rl.assemble_fixed(box, spec, np.zeros(6))
-        assert isinstance(sample.background, np.ndarray)
-        assert np.array_equal(sample.background, rl.build_background(box, spec))
+        form = rl.assemble_fixed(box, spec, np.zeros(6)).background
+        assert isinstance(form, BlockTridiagonal) and form.couplings.shape == (0, 6)
+        assert form.blocks.tobytes() == rl.build_background(box, spec).tobytes()
         for box, spec in [(rl.LatticeBox((2, 3)), rl.Laplacian()), (rl.LatticeBox((1, 6)), None)]:
             sample = rl.assemble_fixed(box, spec, np.zeros(6))
             assert isinstance(sample.background, BlockTridiagonal) and not is_chain(sample.background)
             assert np.array_equal(sample.matrix, rl.build_background(box, spec))
-
-
-BOX_FAMILIES = {
-    "laplacian": lambda local, d: rl.Laplacian(),
-    "periodic": lambda local, d: rl.PeriodicPotential(
-        period=(2,) * d, values=tuple(local.uniform(-2, 2, size=2 ** d))),
-    "magnetic": lambda local, d: rl.Magnetic(
-        axis_phases=tuple(local.uniform(-4, 4, size=int(local.integers(0, d + 1)))),
-        field=float(local.uniform(-2, 2)) if d >= 2 else 0.0),
-    "none": lambda local, d: None,
-    "decaying": lambda local, d: rl.DecayingHopping(amplitude=1.0,
-                                                    rate=float(local.uniform(0.5, 2))),
-}
 
 
 def slice_sites(local, box, layout, n):
@@ -481,8 +468,8 @@ def slice_sites(local, box, layout, n):
 
 
 class TestDetImBlock:
-    """The batched det Im g (the slice sweep on a nearest-neighbour model, the
-    dense solve row by row otherwise) against the per-sample dense reference."""
+    """The batched det Im g (the slice sweep; a ``decaying`` model is one
+    slice) against the per-sample dense reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
@@ -498,7 +485,9 @@ class TestDetImBlock:
         z = complex(local.uniform(-3, 4), local.uniform(0.02, 1.5))
         potentials = local.uniform(-2, 2, size=(rows, box.n_sites))
         operator = rl.lattice.background_operator(box, spec)
-        assert isinstance(operator, np.ndarray if family == "decaying" else BlockTridiagonal)
+        assert isinstance(operator, BlockTridiagonal)
+        if family == "decaying":  # one slice: the dense matrix
+            assert operator.blocks.tobytes() == rl.build_background(box, spec).tobytes()
         values = det_im_block(operator, potentials, z, sites)
         reference = [det_im(green_block(rl.assemble_fixed(box, spec, v), z, sites, "full"))
                      for v in potentials]
@@ -556,6 +545,41 @@ class TestDetImBlock:
         with pytest.raises(rl.NumericalFault, match="imaginary part has eigenvalue") as fault:
             det_im_block(operator, potentials, 0.5 + 0.1j, [4])
         assert fault.value.row == int(np.flatnonzero(values < threshold)[0])
+
+
+class TestSliceGreen:
+    """G(targets, sources) of a block by the slice sweep against the dense
+    per-sample solve, with targets and sources anywhere in the box."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
+           family=st.sampled_from(sorted(BOX_FAMILIES)), rows=st.integers(1, 4))
+    def test_matches_green_columns(self, seed, d, family, rows):
+        local = np.random.default_rng(seed)
+        box = rl.LatticeBox((int(local.integers(1, 9 if d == 1 else 6)),)
+                            + tuple(int(x) for x in local.integers(1, 4, size=d - 1)))
+        spec = BOX_FAMILIES[family](local, d)
+
+        def sites():  # one to three distinct sites anywhere in the box
+            size = int(local.integers(1, min(3, box.n_sites) + 1))
+            return [int(x) for x in local.choice(box.n_sites, size=size, replace=False)]
+        targets, sources = sites(), sites()
+        z = complex(local.uniform(-3, 4), local.uniform(0.02, 1.5))
+        potentials = local.uniform(-2, 2, size=(rows, box.n_sites))
+        g = slice_green(rl.lattice.background_operator(box, spec), potentials, z, targets, sources)
+        assert g.shape == (rows, len(targets), len(sources)) and g.flags.c_contiguous
+        for row, v in zip(g, potentials):
+            reference = green_columns(rl.assemble_fixed(box, spec, v), z, sources)[targets]
+            np.testing.assert_allclose(row, reference, rtol=1e-10, atol=0)
+
+    def test_rejects_bad_z_and_sites(self):
+        operator = rl.lattice.background_operator(rl.LatticeBox((4, 3)), rl.Laplacian())
+        potentials = np.zeros((2, 12))
+        for z, targets, sources in [(0.5, [1], [2]), (complex(0.5, math.nan), [1], [2]),
+                                    (0.5 + 0.1j, [12], [2]), (0.5 + 0.1j, [1], [2, 2]),
+                                    (0.5 + 0.1j, [], [2]), (0.5 + 0.1j, [1], [2.5])]:
+            with pytest.raises((ValueError, TypeError)):
+                slice_green(operator, potentials, z, targets, sources)
 
 
 class TestIdentitySweep:
