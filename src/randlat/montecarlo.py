@@ -15,6 +15,11 @@ spectra row by row (``run_realizations``).  A block holds about
 ``_BLOCK_VALUES`` potential values, and at least ``_BLOCK_SIZE`` realizations:
 its size depends on the box alone, never on ``workers``.  Only ``mc_minami``
 over several slices of several sites shares the blocks among ``workers`` threads.
+
+The level statistics test the gaps seen in a window against the law of a
+Poisson process's gaps seen through it (``window_gap_cdf``), and the window
+counts against the Poisson law, by the tests of ``gof``: numpy and ``math``
+alone, loaded by ``spacing_statistics`` only.
 """
 
 from __future__ import annotations
@@ -301,26 +306,19 @@ class SpacingStats:
     expected_count: float            # 2 * window * rate
 
 
-def _poisson_chi2_pvalue(counts: np.ndarray, lam: float) -> float:
-    """Chi-square goodness of fit of integer counts against Poisson(lam),
-    merging tail bins to keep expected occupancy >= 5."""
-    from scipy import stats
-    m = len(counts)
-    kmax = int(counts.max())
-    observed = np.bincount(counts.astype(int), minlength=kmax + 1).astype(float)
-    expected = m * stats.poisson.pmf(np.arange(kmax + 1), lam)
-    expected = np.append(expected, m * stats.poisson.sf(kmax, lam))
-    observed = np.append(observed, 0.0)
-    # merge low-occupancy bins from the right
-    while len(expected) > 2 and expected[-1] < 5.0:
-        expected[-2] += expected[-1]
-        observed[-2] += observed[-1]
-        expected = expected[:-1]
-        observed = observed[:-1]
-    if len(expected) < 2:
-        return 1.0
-    chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    return float(stats.chi2.sf(chi2, df=len(expected) - 1))
+def window_gap_cdf(g: np.ndarray, rate: float, length: float) -> np.ndarray:
+    """F(g) = P(min(g, L)) / P(L): the law of the gaps of a Poisson process of
+    intensity ``rate`` whose two ends both fall in a window of length L.  A gap
+    g is seen with weight (L - g), so its density is proportional to
+    (L - g) e^(-rate g) on [0, L] (the Palm distribution; Daley & Vere-Jones,
+    vol. I, 2003), and with x = rate g,
+    P(g) = (L - g)(1 - e^(-x))/rate + (x - 1 + e^(-x))/rate^2, two terms >= 0."""
+    def mass(g):
+        x = rate * g
+        seen = -np.expm1(-x)  # 1 - e^(-x), exact for small x
+        return (length - g) * seen / rate + (x - seen) / rate ** 2
+
+    return mass(np.minimum(g, length)) / mass(length)
 
 
 def spacing_statistics(point_sets: Sequence[np.ndarray], window: float,
@@ -328,13 +326,14 @@ def spacing_statistics(point_sets: Sequence[np.ndarray], window: float,
     """Build spacing statistics from per-realization rescaled point sets.
 
     Gaps are nearest-neighbor differences within each realization's
-    window, pooled across realizations; they are tested against
-    Exponential(rate).  Window counts are tested against
+    window [-window, window), pooled across realizations; they are tested
+    against the law of a Poisson process's gaps seen through that window
+    (``window_gap_cdf``).  Window counts are tested against
     Poisson(2 * window * rate).
     """
     check_positive("window", window)
     check_positive("rate", rate)
-    from scipy import stats
+    from . import gof  # the goodness-of-fit tests, which no other experiment loads
     gap_chunks = []
     counts = []
     for pts in point_sets:
@@ -345,14 +344,13 @@ def spacing_statistics(point_sets: Sequence[np.ndarray], window: float,
     gaps = np.concatenate(gap_chunks) if gap_chunks else np.empty(0)
     counts = np.array(counts, dtype=int)
     if len(gaps) > 0:
-        ks = stats.kstest(gaps, "expon", args=(0.0, 1.0 / rate))
-        ks_distance, ks_pvalue = float(ks.statistic), float(ks.pvalue)
+        ks_distance, ks_pvalue = gof.ks_test(gaps, lambda g: window_gap_cdf(g, rate, 2.0 * window))
     else:
         ks_distance, ks_pvalue = math.nan, math.nan
     return SpacingStats(
         window=window, rate=rate, gaps=gaps, counts=counts,
         ks_distance=ks_distance, ks_pvalue=ks_pvalue,
-        count_chi2_pvalue=_poisson_chi2_pvalue(counts, 2.0 * window * rate),
+        count_chi2_pvalue=gof.poisson_chi2_pvalue(counts, 2.0 * window * rate),
         mean_count=float(np.mean(counts)),
         expected_count=2.0 * window * rate)
 
@@ -364,6 +362,9 @@ def spacing_experiment(config: McConfig, energy: float, window: float,
     them against the Poisson predictions at intensity ``rate`` (estimated
     from the same spectra, as ``estimate_dos`` would, when not supplied)."""
     vol = config.model.box.n_sites
+    check_positive("window", window)
+    if rate is not None:
+        check_positive("rate", rate)
     dos_window = _dos_window(energy, dos_bandwidth) if rate is None else None
     spectra = run_realizations(config, spectrum)
     if dos_window is not None:

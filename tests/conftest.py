@@ -56,3 +56,25 @@ def random_triple(rng, max_side=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def scipy_poisson_chi2_pvalue(counts, lam):
+    """The reference of ``gof.poisson_chi2_pvalue``, on ``scipy.stats``: the chi-square
+    test of integer counts against Poisson(lam), tail bins merged from the right until
+    each expects >= 5."""
+    from scipy import stats
+    m = len(counts)
+    kmax = int(counts.max())
+    observed = np.bincount(counts.astype(int), minlength=kmax + 1).astype(float)
+    expected = m * stats.poisson.pmf(np.arange(kmax + 1), lam)
+    expected = np.append(expected, m * stats.poisson.sf(kmax, lam))
+    observed = np.append(observed, 0.0)
+    while len(expected) > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected = expected[:-1]
+        observed = observed[:-1]
+    if len(expected) < 2:
+        return 1.0
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return float(stats.chi2.sf(chi2, df=len(expected) - 1))

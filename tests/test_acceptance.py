@@ -9,14 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import randlat as rl
-from randlat import cli
+from randlat import cli, gof
 from randlat import montecarlo as mc
 from randlat import spectral as sp
 from randlat.integrals import gv_lemma_check, identity_suite
 
-from conftest import random_triple
+from conftest import random_triple, scipy_poisson_chi2_pvalue
 
 
 def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -160,6 +161,31 @@ def test_criterion_07_poisson_statistics():
         f"|L|={L} ks {ks[L]:.4f} chi2p {chi2[L]:.4f}" for L in results)
     _report(7, "Poisson statistics (200 realizations/size)",
             trend_ok and final_ok and chi2_ok, detail)
+
+
+def test_criterion_07_negative_control():
+    """A weak-disorder chain shorter than its localization length (about
+    105/W^2 at the band centre; Kappus & Wegner, Z. Phys. B 45, 1981) has
+    extended states, not Poisson levels: criterion 7's checks must fail on it."""
+    disorder, sides, window = 1.0, 100, 60.0
+    st = mc.spacing_experiment(_mc_config((sides,), rl.Uniform(0.0, disorder), 200, 42),
+                               disorder / 2, window, dos_bandwidth=max(0.05, window / sides))
+    rejected = not st.ks_distance < 0.1 and not st.count_chi2_pvalue > 0.01
+    _report(7, "negative control: W=1, |L|=100 is not Poisson", rejected,
+            f"ks {st.ks_distance:.4f} chi2p {st.count_chi2_pvalue:.3e}")
+    # Its tails lie far below 1e-80 and come from tail forms, not 1 - cdf.  The KS
+    # tail of all the gaps, about e^-760, is below the float range on both sides,
+    # so it is checked on the first 1000 gaps.
+    ref_chi2 = scipy_poisson_chi2_pvalue(st.counts, st.expected_count)
+    gaps = st.gaps[:1000]
+
+    def law(g):
+        return mc.window_gap_cdf(g, st.rate, 2 * window)
+    ks, ref_ks = gof.ks_test(gaps, law), stats.kstest(gaps, law)
+    assert ks[0] == ref_ks.statistic
+    for ours, ref in [(st.count_chi2_pvalue, ref_chi2), (ks[1], ref_ks.pvalue)]:
+        assert math.isfinite(ours) and 0.0 < ours < 1e-80
+        assert ours == pytest.approx(ref, rel=1e-6)
 
 
 def test_criterion_08_fractional_moment_decay():

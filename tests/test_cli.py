@@ -410,6 +410,20 @@ class TestImports:
         assert self.run_python("import sys, randlat.cli; print([m for m in "
                                "('scipy.integrate', 'scipy.stats') if m in sys.modules])") == "[]"
 
+    def test_spacing_leaves_scipy_stats_and_special_unloaded(self):
+        # spacing's p-values are numpy and math alone (randlat.gof); scipy.stats
+        # was most of a spacing run's startup time and memory
+        spacing = {"name": "spacing", "energy": 0.5, "window": 4.0, "dos_bandwidth": 0.3,
+                   "samples": 20}
+        configs = [dict(MINAMI_CONFIG, experiment=spacing),
+                   dict(MINAMI_CONFIG, experiment=dict(spacing, rate=0.9))]
+        code = ("import json, sys; from randlat import cli\n"
+                "for raw in json.loads(sys.argv[1]):\n"
+                "    (record,) = cli.run_experiment(cli.parse_config(raw))\n"
+                "    assert record['n_gaps'] > 0, record\n"
+                "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+        assert self.run_python(code, json.dumps(configs)) == "[]"
+
     def test_1d_counts_leave_scipy_linalg_unloaded(self):
         # the Sturm count serves wegner, ids and dos on a chain; scipy.linalg
         # would add about 19 MB to their peak memory

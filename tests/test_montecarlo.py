@@ -264,6 +264,52 @@ class TestSpacing:
         with pytest.raises(ValueError):
             mc.spacing_statistics([np.array([0.1])], -1.0, 1.0)
 
+    @pytest.mark.parametrize("window, rate", [(-1.0, 1.0), (0.0, None), (1.0, -1.0), (1.0, 0.0)])
+    def test_checks_parameters_before_drawing(self, monkeypatch, window, rate):
+        def refuse(*args):
+            raise AssertionError("drew a realization before checking the parameters")
+        monkeypatch.setattr(mc, "sample_potentials", refuse)
+        with pytest.raises(ValueError):
+            mc.spacing_experiment(make_config(samples=5), 0.5, window, rate=rate)
+
+    @pytest.mark.parametrize("rate, length", [(0.5, 3.0), (1 / 15, 120.0), (2.0, 40.0)])
+    def test_window_gap_law_integrates_its_density(self, rate, length):
+        from scipy import integrate
+
+        def density(t):
+            return (length - t) * math.exp(-rate * t)
+        total = integrate.quad(density, 0.0, length, epsabs=0, epsrel=1e-13)[0]
+        for g in np.linspace(0.0, length, 13)[1:]:
+            part = integrate.quad(density, 0.0, g, epsabs=0, epsrel=1e-13)[0]
+            assert mc.window_gap_cdf(np.array([g]), rate, length)[0] == pytest.approx(
+                part / total, rel=1e-11)
+        assert mc.window_gap_cdf(np.array([0.0, length, 2 * length]), rate, length).tolist() \
+            == [0.0, 1.0, 1.0]
+
+    def test_window_gap_law_limits(self):
+        # rate L -> 0: the gaps of uniform points, 1 - (1 - g/L)^2, within 2 rate L;
+        # rate L -> inf: Exponential(rate), within g e^(-g rate)/(rate L - 1) <= 1/(rate L)
+        g = np.linspace(0.0, 1.0, 101)
+        small = mc.window_gap_cdf(g, 1e-4, 1.0)
+        assert np.max(np.abs(small - (1.0 - (1.0 - g) ** 2))) <= 2e-4
+        g = np.linspace(0.0, 30.0, 301)
+        large = mc.window_gap_cdf(g, 1.0, 1e4)
+        assert np.max(np.abs(large + np.expm1(-g))) <= 1e-4
+        assert np.all(np.diff(small) > 0) and np.all(np.diff(large) >= 0)
+
+    def test_none_chain_rejects_at_the_nominal_rate(self):
+        # on a `none` chain the levels are the i.i.d. potentials, so at the true
+        # rate the window's gaps follow window_gap_cdf: over 200 seeds, p < 0.05
+        # must come up as often as Binomial(200, 0.05) allows (the Exponential
+        # law, blind to the window, rejected 99 of these 200 runs at p < 0.05)
+        from scipy import stats
+        rejections = 0
+        for seed in range(200):
+            cfg = make_config(sides=(100,), background=None, density=rl.Uniform(0.0, 15.0),
+                              samples=50, seed=seed, workers=1)
+            rejections += mc.spacing_experiment(cfg, 7.5, 60.0, rate=1 / 15).ks_pvalue < 0.05
+        assert stats.binomtest(rejections, 200, 0.05).pvalue > 1e-3, rejections
+
 
 class TestFracMomentDecay:
     def test_diagonal_model_below_floor(self):
