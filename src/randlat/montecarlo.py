@@ -10,16 +10,17 @@ bit-identical for any worker count and any block size.
 One driver, ``_map_blocks``, draws each scheduling block of realizations at
 once and hands it to a kernel on ``background_operator``'s slices: the counts
 of ``wegner``, ``ids`` and ``dos`` (``count_block``), the slice sweep
-``slice_green`` of ``mc_minami`` and ``frac_moment_decay``, or ``spacing``'s
-spectra row by row (``run_realizations``).  A block holds about
-``_BLOCK_VALUES`` potential values, and at least ``_BLOCK_SIZE`` realizations:
-its size depends on the box alone, never on ``workers``.  Only ``mc_minami``
+``slice_green`` of ``mc_minami`` and ``frac_moment_decay``, or the window's
+eigenvalues of ``spacing`` (``window_eigenvalues``).  ``run_realizations``,
+one realization at a time as a sample, is the per-sample reference.  A block
+holds about ``_BLOCK_VALUES`` potential values, and at least ``_BLOCK_SIZE``
+realizations: its size depends on the box alone, never on ``workers``.  Only ``mc_minami``
 over several slices of several sites shares the blocks among ``workers`` threads.
 
 The level statistics test the gaps seen in a window against the law of a
 Poisson process's gaps seen through it (``window_gap_cdf``), and the window
 counts against the Poisson law, by the tests of ``gof``: numpy and ``math``
-alone, loaded by ``spacing_statistics`` only.
+alone, loaded by the spacing statistics only.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import numpy as np
 from .lattice import (BackgroundSpec, BlockTridiagonal, DisorderDensity, HamiltonianSample,
                       LatticeBox, SeedRecord, as_integer, background_operator,
                       sample_potentials)
-from .spectral import (NumericalFault, _as_z, check_exponent, count_block, count_in,
-                       det_im_block, green_columns, imag_part, slice_green, spectrum,
-                       sum_principal_minors)
+from .spectral import (NumericalFault, _as_z, check_exponent, count_block, det_im_block,
+                       green_columns, imag_part, slice_green, spectrum, sum_principal_minors,
+                       window_eigenvalues)
 
 # A scheduling block holds max(_BLOCK_SIZE, _BLOCK_VALUES // N) realizations of a box of
 # N sites (``_block_rows``), so that on a small box each numpy call over it does real
@@ -174,7 +175,9 @@ def _map_blocks(config: McConfig,
         try:
             return kernel(operator, potentials, block)
         except NumericalFault as exc:
-            raise NumericalFault(f"realization {block[exc.row]}: {exc}") from exc
+            where = (f"realization {block[exc.row]}" if exc.row is not None else
+                     f"realizations {block.start} to {block.stop - 1}")
+            raise NumericalFault(f"{where}: {exc}") from exc
 
     rows = _block_rows(model.box)
     blocks = [range(start, min(start + rows, config.samples))
@@ -331,18 +334,18 @@ def spacing_statistics(point_sets: Sequence[np.ndarray], window: float,
     (``window_gap_cdf``).  Window counts are tested against
     Poisson(2 * window * rate).
     """
+    return _window_statistics([pts[(pts >= -window) & (pts < window)] for pts in point_sets],
+                              window, rate)
+
+
+def _window_statistics(inside: Sequence[np.ndarray], window: float, rate: float) -> SpacingStats:
+    """``spacing_statistics`` of the point sets ``inside``, each already in the window."""
     check_positive("window", window)
     check_positive("rate", rate)
     from . import gof  # the goodness-of-fit tests, which no other experiment loads
-    gap_chunks = []
-    counts = []
-    for pts in point_sets:
-        inside = np.sort(pts[(pts >= -window) & (pts < window)])
-        counts.append(len(inside))
-        if len(inside) >= 2:
-            gap_chunks.append(np.diff(inside))
+    gap_chunks = [np.diff(np.sort(pts)) for pts in inside if len(pts) >= 2]
     gaps = np.concatenate(gap_chunks) if gap_chunks else np.empty(0)
-    counts = np.array(counts, dtype=int)
+    counts = np.array([len(pts) for pts in inside], dtype=int)
     if len(gaps) > 0:
         ks_distance, ks_pvalue = gof.ks_test(gaps, lambda g: window_gap_cdf(g, rate, 2.0 * window))
     else:
@@ -360,20 +363,25 @@ def spacing_experiment(config: McConfig, energy: float, window: float,
                        dos_bandwidth: float = 0.05) -> SpacingStats:
     """Pool rescaled spectra near ``energy`` over realizations and test
     them against the Poisson predictions at intensity ``rate`` (estimated
-    from the same spectra, as ``estimate_dos`` would, when not supplied)."""
+    from the same sweep, as ``estimate_dos`` would, when not supplied).
+    Each scheduling block's eigenvalues in the window, and its counts in the
+    DOS window, come from one ``window_eigenvalues`` call: a window holds the
+    eigenvalues that its counts put in [E - window/|box|, E + window/|box|)."""
     vol = config.model.box.n_sites
     check_positive("window", window)
     if rate is not None:
         check_positive("rate", rate)
     dos_window = _dos_window(energy, dos_bandwidth) if rate is None else None
-    spectra = run_realizations(config, spectrum)
+    lo, hi = energy - window / vol, energy + window / vol
+    blocks = _map_blocks(config, lambda op, v, _: window_eigenvalues(op, v, lo, hi, dos_window))
     if dos_window is not None:
-        counts = np.array([count_in(w, *dos_window) for w in spectra])
+        counts = np.concatenate([block_counts for _, block_counts in blocks])
         rate = _estimate(_dos_values(counts, dos_bandwidth, vol)).mean
         if rate == 0:
             raise NumericalFault(f"estimated rate is 0: no eigenvalue within {dos_bandwidth} of "
                                  f"energy {energy}; widen dos_bandwidth or give rate")
-    return spacing_statistics([vol * (w - energy) for w in spectra], window, rate)
+    return _window_statistics([vol * (w - energy) for values, _ in blocks for w in values],
+                              window, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,22 @@ Green blocks, the rank-n perturbation (Krein) and Schur-complement
 identities, determinants of imaginary parts, and symmetric-function
 identities for sums of principal minors.  Every spectrum (``spectrum``),
 eigenvalue count in [a, b) of a block of realizations (``count_block``),
+window of a block's eigenvalues (``window_eigenvalues``),
 solve with H - z (``green_columns`` for one sample, ``slice_green`` for a
 block) and det Im g of a block (``det_im_block``) goes through this module.
 
 On slices of one site (``lattice.BlockTridiagonal`` of a chain, or of a box
-such as (N, 1)) spectra and counts work on the two bands, a block's counts by
-one Sturm sweep; on any other background they work on the dense H
-(``lattice.dense_hamiltonian``), as the per-sample solves of ``green_columns``
-do.  Every Green quantity of a block of realizations, det Im g
-(``det_im_block``) and G(targets, sources) for ``fracmoment``, comes from one
-kernel, the slice sweep ``slice_green``, on every background: a ``decaying``
-one is the one-slice case.  The dense ``HamiltonianSample.matrix``, with
-``green_columns``, ``green_block`` and ``det_im`` on it, stays the reference."""
+such as (N, 1)) a block's counts work on the two bands, by one Sturm sweep
+(``count_block``), and so do the eigenvalues in a window of every row of a
+block, by Sturm multisection (``window_eigenvalues``); on any other
+background they work on the dense H (``lattice.dense_hamiltonian``), as the
+per-sample spectra (``spectrum``) and solves (``green_columns``) do.  Every
+Green quantity of a block of realizations, det Im g (``det_im_block``) and
+G(targets, sources) for ``fracmoment``, comes from one kernel, the slice
+sweep ``slice_green``, on every background: a ``decaying`` one is the
+one-slice case.  The dense ``HamiltonianSample.matrix``, with ``spectrum``,
+``green_columns``, ``green_block`` and ``det_im`` on it, stays the reference.
+No kernel here loads scipy."""
 
 from __future__ import annotations
 
@@ -111,19 +115,8 @@ def _chain_bands(background) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 def spectrum(h) -> np.ndarray:
     """Ascending eigenvalues of a sample or matrix.  No Hermiticity check:
-    this is the per-realization hot path.  A tridiagonal sample goes to
-    LAPACK dsterf (root-free QR) on its bands, O(N^2) in place of O(N^3)."""
-    bands = _chain_bands(getattr(h, "background", None))
-    if bands is None:
-        return np.linalg.eigvalsh(_as_matrix(h))
-    diagonal, off = bands[0] + h.potential, bands[1]
-    if len(diagonal) == 1:  # the dsterf wrapper rejects an empty off-diagonal
-        return diagonal
-    from scipy.linalg import lapack  # loads all of scipy.linalg; count_block does not
-    w, info = lapack.dsterf(diagonal, off)
-    if info:
-        raise NumericalFault(f"dsterf: {info} off-diagonal entries did not converge")
-    return w
+    this is the per-sample reference path."""
+    return np.linalg.eigvalsh(_as_matrix(h))
 
 
 def count_in(w: np.ndarray, a: float, b: float) -> int:
@@ -167,6 +160,64 @@ def count_block(background: BlockTridiagonal, potentials: np.ndarray, a: float,
         return below[1] - below[0]
     return np.array([count_in(np.linalg.eigvalsh(dense_hamiltonian(background, v)), a, b)
                      for v in potentials], dtype=np.int64)
+
+
+# interior points per bracket in each multisection sweep, the same for every box and
+# block, so that a row's eigenvalues never depend on the other rows of its block
+_SWEEP_POINTS = 7
+_EPS = float(np.finfo(float).eps)
+
+
+def window_eigenvalues(background: BlockTridiagonal, potentials: np.ndarray, lo: float,
+                       hi: float, counted: Optional[tuple[float, float]] = None):
+    """(values, counts) for the realizations background + diag(V), V a row of
+    ``potentials`` (B, N): values[b] row b's eigenvalues in [lo, hi), ascending,
+    and counts[b] its count in ``counted`` = [a, b), as ``count_block`` gives it
+    (None without ``counted``).  By Sturm multisection on slices of one site,
+    else from each row's ``eigvalsh`` spectrum of the dense H."""
+    edges = [*(counted or ()), lo, hi]
+    bands = _chain_bands(background)
+    if bands is None:
+        spectra = [np.linalg.eigvalsh(dense_hamiltonian(background, v)) for v in potentials]
+        below = np.array([np.searchsorted(w, edges) for w in spectra], dtype=np.int64).T
+        values = [w[below[-2, b]:below[-1, b]] for b, w in enumerate(spectra)]
+    else:
+        below, values = _multisection(bands[0][:, None] + potentials.T, bands[1], edges)
+    return values, (below[1] - below[0] if counted else None)
+
+
+def _multisection(diagonals: np.ndarray, off: np.ndarray, edges: list):
+    """(below, values) for the symmetric tridiagonal matrices whose diagonal is
+    column b of ``diagonals`` (N, B), site-major so that each site's step reads
+    contiguous memory, and whose off-diagonal is ``off``: below (E, B) the
+    ``_count_below`` counts at ``edges`` = [..., lo, hi], and values[b] the
+    eigenvalues of matrix b in [lo, hi) by multisection (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967; LAPACK dstebz).  Each has a bracket, which
+    every sweep cuts at ``_SWEEP_POINTS`` points, keeping the part that holds
+    it by the counts there, until [l, u) is no wider than 2 eps max(|l|, |u|)
+    + eps times the Gershgorin radius (Demmel, Dhillon & Ren, ETNA 3, 1995)."""
+    off_squared = off ** 2
+    below = _count_below(diagonals.T, off_squared, np.array(edges)[:, None])
+    if not off.any():  # diagonal matrices, whose eigenvalues are their diagonals, exactly
+        return below, [np.sort(d[(d >= edges[-2]) & (d < edges[-1])]) for d in diagonals.T]
+    first, n = below[-2], below[-1] - below[-2]
+    rows = np.repeat(np.arange(len(n)), n)
+    target = np.arange(len(rows)) - np.repeat(np.cumsum(n) - n - first, n)  # eigenvalue index
+    reach = np.pad(off, (1, 0)) + np.pad(off, (0, 1))
+    radius = np.max(np.abs(diagonals) + reach[:, None], axis=0)[rows]  # Gershgorin
+    lower, upper = (np.full(len(rows), float(edge)) for edge in edges[-2:])
+    steps = np.arange(1, _SWEEP_POINTS + 1)[:, None] / (_SWEEP_POINTS + 1)
+    live = np.arange(len(rows))
+    while live.size:
+        l, u = lower[live], upper[live]
+        grid = np.concatenate([l[None], l + (u - l) * steps, u[None]])
+        below_grid = _count_below(diagonals[:, rows[live]].T, off_squared, grid[1:-1])
+        i = np.count_nonzero(below_grid <= target[live], axis=0)  # counts rise along the grid
+        new_l, new_u = np.take_along_axis(grid, np.stack([i, i + 1]), axis=0)
+        lower[live], upper[live] = new_l, new_u
+        converged = new_u - new_l <= _EPS * (2 * np.maximum(abs(new_l), abs(new_u)) + radius[live])
+        live = live[~(converged | ((new_l == l) & (new_u == u)))]  # or stuck in the last bits
+    return below, np.split((lower + upper) / 2, np.cumsum(n)[:-1])  # the midpoints
 
 
 def green_columns(h, z, sites: Sequence[int],

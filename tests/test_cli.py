@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import randlat
-from randlat import cli, integrals
+from randlat import cli, integrals, montecarlo
 from randlat.spectral import NumericalFault
 
 
@@ -321,6 +321,19 @@ class TestRun:
         assert lines[0].startswith("schema,experiment,")
         assert len(lines) == 2 and ",ids," in lines[1]
 
+    def test_block_fault_without_a_row_keeps_earlier_records(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a kernel's fault that names no row is reported for its whole block
+        def boom(*args):
+            raise NumericalFault("x")
+        monkeypatch.setattr(montecarlo, "count_block", boom)
+        raw = json.loads(json.dumps(MINAMI_CONFIG))
+        raw["experiment"] = {"name": "ids", "energy": 0.5, "samples": 30}
+        out = tmp_path / "result.jsonl"
+        assert cli.run(write_config(tmp_path, [MINAMI_CONFIG, raw]), {"out": str(out)}) == 3
+        assert [r["experiment"] for r in read_records(out)] == ["minami"]
+        assert "numerical fault: realizations 0 to 29: x" in capsys.readouterr().err
+
     def test_fault_keeps_earlier_records(self, tmp_path, monkeypatch, capsys):
         run_experiment = cli.run_experiment
 
@@ -424,16 +437,26 @@ class TestImports:
                 "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
         assert self.run_python(code, json.dumps(configs)) == "[]"
 
-    def test_1d_counts_leave_scipy_linalg_unloaded(self):
-        # the Sturm count serves wegner, ids and dos on a chain; scipy.linalg
-        # would add about 19 MB to their peak memory
+    def test_runs_leave_scipy_linalg_unloaded(self):
+        # every 1D experiment, and spacing on a 2D box, is numpy alone: the Sturm
+        # count serves wegner, ids and dos, the slice sweep minami and fracmoment,
+        # and Sturm multisection spacing on a chain; scipy.linalg would add about
+        # 19 MB to their peak memory
+        spacing = {"name": "spacing", "energy": 0.5, "window": 4.0, "dos_bandwidth": 0.3,
+                   "samples": 20}
         experiments = [{"name": "wegner", "interval": [0.4, 0.6], "n": 1, "samples": 20},
                        {"name": "ids", "energy": 0.5, "samples": 20},
-                       {"name": "dos", "energy": 0.5, "samples": 20}]
+                       {"name": "dos", "energy": 0.5, "samples": 20},
+                       {"name": "minami", "z": [0.5, 0.1], "delta": [2, 3], "samples": 20},
+                       {"name": "fracmoment", "energy": 0.5, "eps": 0.1, "s": 0.5, "samples": 20},
+                       spacing, dict(spacing, rate=0.9)]
         configs = [dict(MINAMI_CONFIG, experiment=exp) for exp in experiments]
+        configs.append(dict(MINAMI_CONFIG, model=dict(MINAMI_CONFIG["model"], sides=[6, 5]),
+                            experiment=spacing))
         code = ("import json, sys; from randlat import cli\n"
                 "for raw in json.loads(sys.argv[1]):\n"
-                "    cli.run_experiment(cli.parse_config(raw))\n"
+                "    (record,) = cli.run_experiment(cli.parse_config(raw))\n"
+                "    assert record.get('n_gaps', 1) > 0, record\n"
                 "print('scipy.linalg' in sys.modules)")
         assert self.run_python(code, json.dumps(configs)) == "False"
 

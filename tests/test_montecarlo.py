@@ -89,6 +89,12 @@ class TestBounds:
         assert not check(1.0 + 3.01 * 0.25).passed
         assert check(1.0 + 3.01 * 0.25).verdict == "FAIL"
 
+    @pytest.mark.parametrize("mean", [1.3, 0.7, 1.0])
+    def test_z_score_is_the_slack_over_the_stderr(self, mean):
+        check = mc.BoundCheck(mc.McEstimate(mean=mean, stderr=0.2, samples=100), bound=1.0)
+        assert check.z_score == (1.0 - mean) / 0.2
+        assert math.copysign(1.0, check.z_score) == math.copysign(1.0, 1.0 - mean)
+
     def test_wegner_monotone_in_n(self):
         cfg = make_config(samples=500, seed=4)
         interval = (0.2, 0.8)
@@ -243,13 +249,15 @@ class TestSpacing:
         assert stats.rate > 0
         assert np.isfinite(stats.ks_distance)
 
-    def test_estimated_rate_is_the_dos_estimate(self, monkeypatch):
+    def test_estimated_rate_is_the_dos_estimate(self, monkeypatch, draws):
         cfg = make_config(sides=(40,), density=rl.Uniform(0.0, 15.0),
                           samples=30, seed=23, workers=3)
-        spectrum, calls = mc.spectrum, []
-        monkeypatch.setattr(mc, "spectrum", lambda s: calls.append(1) or spectrum(s))
+
+        def refuse(*args):
+            raise AssertionError("a spectrum was computed row by row")
+        monkeypatch.setattr(mc, "spectrum", refuse)
         stats = mc.spacing_experiment(cfg, 7.5, 30.0, dos_bandwidth=0.7)
-        assert len(calls) == cfg.samples  # one spectrum per realization
+        assert draws == [cfg.samples]  # the window and the DOS counts from one sweep of the block
         assert stats.rate == mc.estimate_dos(cfg, 7.5, 0.7).mean
 
     def test_zero_estimated_rate_is_a_numerical_fault(self):
@@ -370,6 +378,31 @@ class TestFracMomentDecay:
                          for r in fit.distances]
             np.testing.assert_allclose(row, reference, rtol=1e-10, atol=0)
 
+    @pytest.fixture(scope="class")
+    def strong_disorder(self):
+        cfg = make_config(sides=(12,), density=rl.Uniform(0.0, 15.0), samples=40, seed=8)
+        return cfg, mc.frac_moment_decay(cfg, 7.5, 0.1, 0.5)
+
+    def test_log_means_are_the_log_of_the_mean_moment(self, strong_disorder):
+        # E |G(0, y)|^s, the paper's fractional moment, from the per-row dense reference
+        cfg, fit = strong_disorder
+        box = cfg.model.box
+        rows = mc.run_realizations(cfg, lambda sample: [
+            rl.frac_moment(sample, box.index_of((int(r),)), 0, 7.5 + 0.1j, 0.5)
+            for r in fit.distances])
+        assert not fit.below_floor
+        np.testing.assert_allclose(fit.log_means, np.log(np.mean(rows, axis=0)), rtol=1e-10, atol=0)
+
+    def test_fit_is_the_least_squares_line(self, strong_disorder):
+        _, fit = strong_disorder
+        x, y = fit.distances, fit.log_means
+        (slope, intercept), *_ = np.linalg.lstsq(np.column_stack([x, np.ones_like(x)]), y,
+                                                 rcond=None)
+        r_squared = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+        assert fit.slope == pytest.approx(slope, rel=1e-10)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-10)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-10)
+
 
 def lorentz_mean(lo: float, hi: float, z: complex) -> float:
     """E Im (V - z)^-1 for V ~ Uniform(lo, hi): the mean of Im g on one site of
@@ -389,7 +422,9 @@ class TestDiagonalWitnesses:
       but the rarest (n = 3 on [0.495, 0.505), about 8 expected hits);
     - a DOS over h |box| in place of 2 h |box|: every dos case here fails;
     - ``BoundCheck.passed`` with a 30-stderr margin:
-      ``TestBounds.test_passes_at_three_stderr_and_no_further`` fails."""
+      ``TestBounds.test_passes_at_three_stderr_and_no_further`` fails;
+    - ``_estimate``'s stderr as std/m^0.45: ``test_stderr_is_calibrated``
+      fails (a z-score variance of 0.54)."""
 
     @pytest.mark.parametrize("sides, sites", [
         pytest.param((16,), [5], id="chain-n1"), pytest.param((16,), [5, 6], id="chain-n2"),
@@ -405,6 +440,20 @@ class TestDiagonalWitnesses:
         exact = lorentz_mean(0.0, 1.0, z) ** len(sites)
         assert abs(est.mean - exact) <= 4.0 * est.stderr, (est, exact)
         assert len(draws) == 4
+
+    def test_stderr_is_calibrated(self):
+        # over K = 100 seeds of 2 000 samples, the z-scores of the n = 1 mean against
+        # its closed form must have a sample variance inside the two-sided 99.9%
+        # interval of chi2(99) / 99, [0.60, 1.54]: a stderr off by a factor c moves
+        # it by 1 / c^2
+        z = 0.5 + 0.1j
+        exact = lorentz_mean(0.0, 1.0, z)
+        scores = []
+        for seed in range(100):
+            cfg = make_config(sides=(16,), background=None, samples=2000, seed=seed, workers=1)
+            est = mc.mc_minami(cfg, z, [5]).estimate
+            scores.append((est.mean - exact) / est.stderr)
+        assert 0.60 <= np.var(scores, ddof=1) <= 1.54
 
     @pytest.mark.parametrize("interval", [(0.45, 0.55), (0.495, 0.505)])
     @pytest.mark.parametrize("n, sides", [(1, (10,)), (2, (10,)), (3, (4, 3, 3))],
@@ -692,6 +741,28 @@ class TestReproducibility:
             written.append(cli.dumps(cli.run_experiment(cli.parse_config(raw))))
         assert written[0] == written[1] == written[2]
         assert sorted(draws) == sorted([1] * 40 + [7] * 5 + [5] + [40])
+
+    @pytest.mark.parametrize("sides", [[40], [5, 4]], ids=["chain", "box"])
+    @pytest.mark.parametrize("rate", [{"dos_bandwidth": 0.3}, {"rate": 0.9}],
+                             ids=["estimated-rate", "rate"])
+    def test_spacing_records_whatever_the_block_and_workers(self, monkeypatch, sides, rate):
+        # a chain's window eigenvalues by multisection, each row the same whatever
+        # the other rows of its block
+        raw = {"model": {"sides": sides, "background": {"variant": "laplacian"},
+                         "density": {"variant": "uniform", "lo": 0.0, "hi": 1.0}},
+               "experiment": {"name": "spacing", "energy": 0.5, "window": 4.0, "samples": 20,
+                              **rate},
+               "runtime": {"seed": 3, "workers": 1}}
+        written = set()
+        for size, values in [(1, 0), (7, 0), (mc._BLOCK_SIZE, mc._BLOCK_VALUES)]:
+            monkeypatch.setattr(mc, "_BLOCK_SIZE", size)
+            monkeypatch.setattr(mc, "_BLOCK_VALUES", values)
+            for workers in (1, 2):
+                raw["runtime"]["workers"] = workers
+                (record,) = cli.run_experiment(cli.parse_config(raw))
+                assert record["n_gaps"] > 0
+                written.add(cli.dumps(record))
+        assert len(written) == 1
 
     def test_estimator_is_pure(self):
         cfg = make_config(samples=60, seed=31)

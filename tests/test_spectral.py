@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import randlat as rl
 from randlat.lattice import BlockTridiagonal
 from randlat.spectral import (count_block, count_in, det_im, det_im_block, elementary_symmetric,
-                              green_block, green_columns, imag_part, slice_green, spectrum)
+                              green_block, green_columns, imag_part, slice_green, spectrum,
+                              window_eigenvalues)
 from conftest import BOX_FAMILIES, background_variants, random_box, random_triple
 
 
@@ -349,22 +350,23 @@ class TestSpectrumGreenLink:
 
 
 class TestTridiagonalPath:
-    """The band path of slices of one site (dsterf, Sturm count), on a 1D
-    chain and on boxes of n x 1 or n x 1 x 1 sites, against the dense
+    """The band path of slices of one site (Sturm count, multisection), on a
+    1D chain and on boxes of n x 1 or n x 1 x 1 sites, against the dense
     reference, np.linalg.eigvalsh on ``.matrix``."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), d=st.integers(1, 3),
            family=st.sampled_from(sorted(CHAIN_FAMILIES)))
     def test_spectrum_matches_dense(self, seed, n, d, family):
+        # multisection over a window that holds the whole spectrum (Gershgorin)
         sample = chain_sample(seed, n, family, d)
         assert is_chain(sample.background)
-        w, reference = spectrum(sample), np.linalg.eigvalsh(sample.matrix)
-        if family == "magnetic":  # the kernels read the bands' moduli; the matrix is complex
-            scale = max(1.0, float(np.abs(reference).max()))
-            np.testing.assert_allclose(w, reference, rtol=0, atol=1e-12 * scale)
-        else:
-            np.testing.assert_array_equal(w, reference)
+        reference = np.linalg.eigvalsh(sample.matrix)
+        radius = float(np.abs(sample.matrix).sum(axis=1).max())
+        (w,), _ = window_eigenvalues(sample.background, sample.potential[None, :],
+                                     -radius - 1.0, radius + 1.0)
+        scale = max(1.0, float(np.abs(reference).max()))
+        np.testing.assert_allclose(w, reference, rtol=0, atol=1e-12 * scale)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
@@ -449,6 +451,68 @@ class TestTridiagonalPath:
             sample = rl.assemble_fixed(box, spec, np.zeros(6))
             assert isinstance(sample.background, BlockTridiagonal) and not is_chain(sample.background)
             assert np.array_equal(sample.matrix, rl.build_background(box, spec))
+
+
+class TestWindowEigenvalues:
+    """``window_eigenvalues``: the eigenvalues in [lo, hi) of every row of a
+    block, by Sturm multisection on a chain, against the dense reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), d=st.integers(1, 3),
+           rows=st.integers(1, 6), family=st.sampled_from(sorted(CHAIN_FAMILIES)),
+           case=st.sampled_from(["random", "on_edges", "repeated", "zero"]))
+    def test_chain_matches_dense(self, seed, n, d, rows, family, case):
+        local = np.random.default_rng(seed)
+        box, spec = rl.LatticeBox((n,) + (1,) * (d - 1)), CHAIN_FAMILIES[family](local, d)
+        background = rl.assemble_fixed(box, spec, np.zeros(n)).background
+        assert is_chain(background)
+        lo, hi = np.sort(local.uniform(-6.0, 8.0, size=2))
+        counted = tuple(np.sort(local.uniform(-6.0, 8.0, size=2)))
+        potentials = local.uniform(-3.0, 3.0, size=(rows, n))
+        if case == "on_edges":  # some potential values exactly on lo and on hi
+            pick = local.integers(0, 3, size=potentials.shape)
+            potentials = np.where(pick == 1, lo, np.where(pick == 2, hi, potentials))
+        elif case == "repeated":  # three values, so a `none` chain's levels repeat
+            potentials = local.choice(local.uniform(-3.0, 3.0, size=3), size=potentials.shape)
+        elif case == "zero":
+            # a window around 0, and row 0 with zero diagonal: on an odd chain
+            # (a bipartite graph) 0 is then an eigenvalue
+            lo, hi = -local.uniform(0.0, 1.0), local.uniform(1e-3, 1.0)
+            potentials[0] = -background.blocks[:, 0, 0].real
+        values, counts = window_eigenvalues(background, potentials, lo, hi, counted)
+        assert counts.tolist() == count_block(background, potentials, *counted).tolist()
+        # the window's first eigenvalue has index #{eigenvalue < lo}, by the Sturm count
+        first = count_block(background, potentials, -math.inf, lo)
+        for b, v in enumerate(potentials):
+            w = np.linalg.eigvalsh(rl.assemble_fixed(box, spec, v).matrix)
+            scale = max(1.0, float(np.abs(w).max()))
+            # exact on a diagonal chain, counts and values; with hopping an eigenvalue
+            # can sit on an edge within rounding, as in ``test_block_count_matches_dense``
+            tol = 0.0 if family == "none" else 1e-12 * scale
+            count = len(values[b])
+            assert count_in(w, lo + tol, hi - tol) <= count <= count_in(w, lo - tol, hi + tol)
+            np.testing.assert_allclose(values[b], w[first[b]:first[b] + count], rtol=0, atol=tol)
+            assert np.all((lo <= values[b]) & (values[b] < hi)) and np.all(np.diff(values[b]) >= 0)
+            if case == "zero" and b == 0 and n % 2:
+                assert np.min(np.abs(values[b])) <= 1e-12 * scale
+        # a row is the same whatever the other rows of its block
+        (alone,), _ = window_eigenvalues(background, potentials[-1:], lo, hi, counted)
+        assert alone.tobytes() == values[-1].tobytes()
+
+    @pytest.mark.parametrize("sides, spec", [
+        ((2, 3), rl.Laplacian()), ((3, 2, 2), rl.Magnetic(axis_phases=(0.4,), field=0.7)),
+        ((6,), rl.DecayingHopping(amplitude=1.0, rate=1.2))])
+    def test_slices_of_several_sites_take_the_dense_spectrum(self, sides, spec):
+        local = np.random.default_rng(5)
+        box = rl.LatticeBox(sides)
+        potentials = local.uniform(-1.0, 1.0, size=(4, box.n_sites))
+        background = rl.assemble_fixed(box, spec, np.zeros(box.n_sites)).background
+        values, counts = window_eigenvalues(background, potentials, -0.5, 1.5, (0.0, 2.0))
+        for b, v in enumerate(potentials):
+            w = np.linalg.eigvalsh(rl.assemble_fixed(box, spec, v).matrix)
+            assert values[b].tobytes() == w[(w >= -0.5) & (w < 1.5)].tobytes()
+            assert counts[b] == count_in(w, 0.0, 2.0)
+        assert window_eigenvalues(background, potentials, -0.5, 1.5)[1] is None
 
 
 def slice_sites(local, box, layout, n):
