@@ -130,21 +130,37 @@ _TINY = float(np.finfo(float).tiny)
 
 def _count_below(diagonals: np.ndarray, off_squared: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(E, B): #{eigenvalues < x_e} of each symmetric tridiagonal matrix T
-    whose diagonal is row b of ``diagonals`` (B, N) and whose squared
-    off-diagonal is ``off_squared`` (N - 1), for each x_e of the column ``x``
-    (E, 1): the number of negative pivots of T - x = L D L^T, by Sylvester's
-    law of inertia (Golub & Van Loan, Matrix Computations, 8.4).  The loop
-    runs over sites, with arrays over points and rows.  Each pivot decreases
-    in x, so a pivot that is exactly 0 is positive just below x: it counts as
-    non-negative and goes on as the smallest positive float, which gives the
-    count at x^- and keeps the [a, b) convention."""
-    pivot = diagonals[:, 0] - x
-    count = np.zeros(pivot.shape, dtype=np.int64)
-    with np.errstate(over="ignore"):  # e2 / tiny may round to inf, as Python floats do
-        for k, e2 in enumerate(off_squared, start=1):
-            count += pivot < 0
-            pivot = (diagonals[:, k] - x) - e2 / np.where(pivot == 0, _TINY, pivot)
-    return count + (pivot < 0)
+    whose diagonal is column b of ``diagonals`` (N, B), site-major, and whose
+    squared off-diagonal is ``off_squared`` (N - 1), for each x_e of the column
+    ``x`` (E, 1): the number of negative pivots of T - x = L D L^T, by
+    Sylvester's law of inertia (Golub & Van Loan, Matrix Computations, 8.4).
+    Each pivot decreases in x, so a pivot that is exactly 0 is positive just
+    below x: it counts as non-negative and goes on as the smallest positive
+    float, which gives the count at x^- and keeps the [a, b) convention.
+    The sites go in chunks of 16 or more, each one (sites, E, B) buffer of
+    about ``_STACK_BYTES``, with two in-place ufuncs per site.  A zero pivot
+    divided by leaves +-inf or NaN (0/0 on a zero coupling) in its chunk, so
+    only a chunk whose sum is not finite runs again with the zero rule."""
+    n, shape = len(diagonals), (len(x), diagonals.shape[1])
+    chunk = max(16, _STACK_BYTES // (8 * shape[0] * shape[1]))
+    buffer = np.empty((min(chunk, n) + 1, *shape))  # row 0: the pivot carried in
+    buffer[0] = np.inf  # so site 0, whose coupling is 0, subtracts 0 / inf = 0
+    e2, q = np.concatenate([[0.0], off_squared]), np.empty(shape)
+    count = np.zeros(shape, dtype=np.int64)
+    with np.errstate(all="ignore"):  # zero pivots flag their chunk; e2 / tiny may overflow
+        for start in range(0, n, chunk):
+            sites, couplings = diagonals[start:start + chunk, None], e2[start:start + chunk]
+            d = np.subtract(sites, x, out=buffer[1:len(sites) + 1])
+            for p, row, c in zip(buffer, d, couplings):
+                np.divide(c, p, out=q)
+                np.subtract(row, q, out=row)
+            if not np.isfinite(d.sum()):  # a zero pivot was divided by: again, with the rule
+                np.subtract(sites, x, out=d)
+                for p, row, c in zip(buffer, d, couplings):
+                    row -= c / np.where(p == 0, _TINY, p)
+            count += np.count_nonzero(d < 0, axis=0)
+            buffer[0] = d[-1]
+    return count
 
 
 def count_block(background: BlockTridiagonal, potentials: np.ndarray, a: float,
@@ -156,7 +172,7 @@ def count_block(background: BlockTridiagonal, potentials: np.ndarray, a: float,
     ``count_in`` of each row's ``eigvalsh`` spectrum of the dense H."""
     bands = _chain_bands(background)
     if bands is not None:
-        below = _count_below(bands[0] + potentials, bands[1] ** 2, np.array([[a], [b]]))
+        below = _count_below((bands[0] + potentials).T, bands[1] ** 2, np.array([[a], [b]]))
         return below[1] - below[0]
     return np.array([count_in(np.linalg.eigvalsh(dense_hamiltonian(background, v)), a, b)
                      for v in potentials], dtype=np.int64)
@@ -188,16 +204,17 @@ def window_eigenvalues(background: BlockTridiagonal, potentials: np.ndarray, lo:
 
 def _multisection(diagonals: np.ndarray, off: np.ndarray, edges: list):
     """(below, values) for the symmetric tridiagonal matrices whose diagonal is
-    column b of ``diagonals`` (N, B), site-major so that each site's step reads
-    contiguous memory, and whose off-diagonal is ``off``: below (E, B) the
-    ``_count_below`` counts at ``edges`` = [..., lo, hi], and values[b] the
-    eigenvalues of matrix b in [lo, hi) by multisection (Barth, Martin &
-    Wilkinson, Numer. Math. 9, 1967; LAPACK dstebz).  Each has a bracket, which
-    every sweep cuts at ``_SWEEP_POINTS`` points, keeping the part that holds
-    it by the counts there, until [l, u) is no wider than 2 eps max(|l|, |u|)
-    + eps times the Gershgorin radius (Demmel, Dhillon & Ren, ETNA 3, 1995)."""
+    column b of ``diagonals`` (N, B), site-major as ``_count_below`` takes them,
+    and whose off-diagonal is ``off``: below (E, B) the counts at ``edges`` =
+    [..., lo, hi], and values[b] the eigenvalues of matrix b in [lo, hi) by
+    multisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; LAPACK
+    dstebz).  Each has a bracket, which every sweep cuts at ``_SWEEP_POINTS``
+    points, keeping the part that holds it by the counts there, until [l, u)
+    is no wider than 2 eps max(|l|, |u|) + eps times the Gershgorin radius
+    (Demmel, Dhillon & Ren, ETNA 3, 1995).  Each sweep is one ``_count_below``
+    over the live brackets, in chunks of sites."""
     off_squared = off ** 2
-    below = _count_below(diagonals.T, off_squared, np.array(edges)[:, None])
+    below = _count_below(diagonals, off_squared, np.array(edges)[:, None])
     if not off.any():  # diagonal matrices, whose eigenvalues are their diagonals, exactly
         return below, [np.sort(d[(d >= edges[-2]) & (d < edges[-1])]) for d in diagonals.T]
     first, n = below[-2], below[-1] - below[-2]
@@ -211,7 +228,7 @@ def _multisection(diagonals: np.ndarray, off: np.ndarray, edges: list):
     while live.size:
         l, u = lower[live], upper[live]
         grid = np.concatenate([l[None], l + (u - l) * steps, u[None]])
-        below_grid = _count_below(diagonals[:, rows[live]].T, off_squared, grid[1:-1])
+        below_grid = _count_below(diagonals[:, rows[live]], off_squared, grid[1:-1])
         i = np.count_nonzero(below_grid <= target[live], axis=0)  # counts rise along the grid
         new_l, new_u = np.take_along_axis(grid, np.stack([i, i + 1]), axis=0)
         lower[live], upper[live] = new_l, new_u
@@ -325,7 +342,8 @@ def det_im_block(operator: BlockTridiagonal, potentials: np.ndarray, z,
 
 
 # size of each stack of matrices the slice sweep works on, which sets its rows:
-# the (rows, m, m) folds and the (rows, M, M) span solves each stay in cache
+# the (rows, m, m) folds and the (rows, M, M) span solves each stay in cache; and
+# of the Sturm count's (sites, points, rows) chunk, which sets its sites
 _STACK_BYTES = 1 << 17
 
 

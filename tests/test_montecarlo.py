@@ -415,16 +415,7 @@ class TestDiagonalWitnesses:
     eigenvalues are the i.i.d. potentials), checked two-sided.  There the
     paper's bounds are nearly attained, so a wrong factor shows, where the
     one-sided bound checks let it through.  Each run spans several scheduling
-    blocks.  Mutations killed, each confirmed on a copy of the code:
-    - ``mc_minami`` reporting 3 det Im g: every minami case here fails, and no
-      other test does;
-    - a Wegner count of > n in place of >= n: every wegner case here fails
-      but the rarest (n = 3 on [0.495, 0.505), about 8 expected hits);
-    - a DOS over h |box| in place of 2 h |box|: every dos case here fails;
-    - ``BoundCheck.passed`` with a 30-stderr margin:
-      ``TestBounds.test_passes_at_three_stderr_and_no_further`` fails;
-    - ``_estimate``'s stderr as std/m^0.45: ``test_stderr_is_calibrated``
-      fails (a z-score variance of 0.54)."""
+    blocks.  The mutants these tests kill are listed in ``tests/mutate.py``."""
 
     @pytest.mark.parametrize("sides, sites", [
         pytest.param((16,), [5], id="chain-n1"), pytest.param((16,), [5, 6], id="chain-n2"),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import randlat as rl
 from randlat.lattice import BlockTridiagonal
-from randlat.spectral import (count_block, count_in, det_im, det_im_block, elementary_symmetric,
-                              green_block, green_columns, imag_part, slice_green, spectrum,
-                              window_eigenvalues)
+from randlat.spectral import (_count_below, count_block, count_in, det_im, det_im_block,
+                              elementary_symmetric, green_block, green_columns, imag_part,
+                              slice_green, spectrum, window_eigenvalues)
 from conftest import BOX_FAMILIES, background_variants, random_box, random_triple
 
 
@@ -41,6 +41,41 @@ def chain_sample(seed, n, family, d=1):
     spec = CHAIN_FAMILIES[family](local, d)
     return rl.assemble_fixed(rl.LatticeBox((n,) + (1,) * (d - 1)), spec,
                              local.uniform(-3, 3, size=n))
+
+
+TINY = float(np.finfo(float).tiny)
+
+
+def reference_count_below(diagonals, off_squared, x):
+    """The Sturm count one site at a time, the recurrence ``_count_below`` runs
+    in chunks: (E, B) negative pivots of T_b - x_e, T_b with diagonal column b
+    of ``diagonals`` (N, B) and squared off-diagonal ``off_squared``.  A pivot
+    of exactly 0 goes on as the smallest positive float."""
+    pivot = diagonals[0] - x
+    count = np.zeros(pivot.shape, dtype=np.int64)
+    with np.errstate(over="ignore"):  # e2 / tiny may round to inf
+        for k, e2 in enumerate(off_squared, start=1):
+            count += pivot < 0
+            pivot = (diagonals[k] - x) - e2 / np.where(pivot == 0, TINY, pivot)
+    return count + (pivot < 0)
+
+
+def sturm_case(local, case, n, rows, points):
+    """(diagonals (n, rows), off-diagonal (n - 1), points (points, 1)) for the
+    Sturm count: integer values, which make exact zero pivots; integers with
+    no coupling at all, where a zero pivot divided by gives 0 / 0; 1e-300
+    diagonals with 1e154 couplings, whose quotients overflow; or reals."""
+    if case == "extreme":
+        return (local.choice([1e-300, -1e-300, 0.0, 1.0], size=(n, rows)),
+                local.choice([1e154, 0.0, 1.0], size=n - 1),
+                local.choice([0.0, 1e-300, 1.0], size=(points, 1)))
+    if case == "real":
+        return (local.normal(size=(n, rows)), local.normal(size=n - 1),
+                local.normal(size=(points, 1)))
+    coupled = 0 if case == "uncoupled" else 3
+    return (local.integers(-3, 4, size=(n, rows)).astype(float),
+            local.integers(0, coupled, size=n - 1, endpoint=True).astype(float),
+            local.integers(-4, 5, size=(points, 1)).astype(float))
 
 
 def random_hermitian(rng, n, complex_entries=True):
@@ -426,6 +461,48 @@ class TestTridiagonalPath:
                 # windows, which coincide for every row away from an edge.
                 tol = 0.0 if family == "none" else 1e-12 * max(1.0, float(np.abs(w).max()))
                 assert count_in(w, lo + tol, b - tol) <= count <= count_in(w, lo - tol, b + tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 70), rows=st.integers(1, 5),
+           points=st.integers(1, 6),
+           case=st.sampled_from(["integer", "uncoupled", "extreme", "real"]),
+           stack_bytes=st.sampled_from([1, 256, 4096, None]))
+    def test_count_below_is_the_site_by_site_recurrence(self, seed, n, rows, points, case,
+                                                        stack_bytes):
+        # bit for bit, in chunks of 16 sites (the floor) and longer, and every
+        # row alone as in its block
+        diagonals, off, x = sturm_case(np.random.default_rng(seed), case, n, rows, points)
+        with pytest.MonkeyPatch.context() as patch:
+            if stack_bytes is not None:
+                patch.setattr(rl.spectral, "_STACK_BYTES", stack_bytes)
+            counts = _count_below(diagonals, off ** 2, x)
+            alone = [_count_below(diagonals[:, [b]], off ** 2, x) for b in range(rows)]
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, reference_count_below(diagonals, off ** 2, x))
+        np.testing.assert_array_equal(np.hstack(alone), counts)
+
+    @pytest.mark.parametrize("rows, stack_bytes", [(5, 1), (6000, None)], ids=["floor", "many"])
+    def test_zero_pivot_on_a_chunk_edge(self, rows, stack_bytes):
+        # 40 sites in chunks of 16: the last pivot of the first two chunks is
+        # exactly 0 in every other row, so the next chunk divides by it, by a
+        # zero coupling (0 / 0) after the first and by 1 after the second; no
+        # other value is 0.  At the module's stack size 6 000 rows at 3 points
+        # are more points than _STACK_BYTES // 8, and the floor of 16 sites
+        # sets the chunk
+        diagonals, off, x = sturm_case(np.random.default_rng(17), "real", 40, rows, 3)
+        x[1] = 0.0
+        for last, coupling in ((15, 0.0), (31, 1.0)):
+            off[last - 1], off[last] = 0.0, coupling
+            diagonals[last, ::2] = 0.0
+        with pytest.MonkeyPatch.context() as patch:
+            if stack_bytes is not None:
+                patch.setattr(rl.spectral, "_STACK_BYTES", stack_bytes)
+            else:
+                assert rows * len(x) > rl.spectral._STACK_BYTES // 8
+            counts = _count_below(diagonals, off ** 2, x)
+            alone = _count_below(diagonals[:, [0]], off ** 2, x)
+        np.testing.assert_array_equal(counts, reference_count_below(diagonals, off ** 2, x))
+        np.testing.assert_array_equal(alone[:, 0], counts[:, 0])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64))
