@@ -97,7 +97,7 @@ def _parse_variant(block: dict, table: dict, box: lattice.LatticeBox):
 
 
 def _seed(value, box) -> int:
-    return np.random.SeedSequence(lattice.as_integer(value)).entropy  # rejects negative seeds
+    return lattice.as_seed(value)
 
 
 def _count(name: str, least: int = 1) -> Callable:

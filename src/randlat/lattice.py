@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 
 class ModelError(ValueError):
@@ -27,6 +26,14 @@ def as_integer(value) -> int:
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or integral):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_seed(value) -> int:
+    """``value`` as a master seed: an integer (``as_integer``) >= 0."""
+    seed = as_integer(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {value!r}")
+    return seed
 
 
 def as_real(value) -> float:
@@ -329,7 +336,7 @@ class SeedRecord(NamedTuple):
 
 def _as_seed_record(seed_record) -> SeedRecord:
     master, realization = seed_record
-    return SeedRecord(int(master), int(realization))
+    return SeedRecord(as_seed(master), int(realization))
 
 
 def sample_potential(box: LatticeBox, density: DisorderDensity,
@@ -337,7 +344,10 @@ def sample_potential(box: LatticeBox, density: DisorderDensity,
     """i.i.d. potential draws, one per site, via inverse CDF on a
     counter-based stream keyed by (master seed, realization index).
     Deterministic and independent of any surrounding draw order.  This is
-    the reference for ``sample_potentials``."""
+    the reference for ``sample_potentials``; no run calls it, so only it
+    loads ``numpy.random``."""
+    from numpy.random import Generator, Philox, SeedSequence
+
     rec = _as_seed_record(seed_record)
     bitgen = Philox(seed=SeedSequence(entropy=rec.master_seed,
                                       spawn_key=(rec.realization,)))
@@ -387,9 +397,7 @@ def _philox_keys(master_seed: int, realizations: np.ndarray) -> tuple[np.ndarray
     spawn_key=(i,)))`` for every i in ``realizations`` (each < 2**32, one
     spawn-key word).  The master seed's words fill and mix the pool once;
     only the spawn-key word, the last one mixed in, is vectorized."""
-    words = [master_seed & _MASK32]
-    while master_seed >> 32 * len(words):
-        words.append((master_seed >> 32 * len(words)) & _MASK32)
+    words = [(master_seed >> s) & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))  # padded, as SeedSequence does beside a spawn key
     hashmix = _Hash(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in words[:_POOL_SIZE]]
@@ -447,8 +455,7 @@ def sample_potentials(box: LatticeBox, density: DisorderDensity, master_seed: in
     index = np.asarray(realizations, dtype=np.int64).reshape(-1)
     if np.any((index < 0) | (index > _MASK32)):
         raise ValueError("realization indices must be in [0, 2**32)")
-    master_seed = SeedSequence(int(master_seed)).entropy  # rejects negative seeds
-    u = _philox_random(_philox_keys(master_seed, index), box.n_sites)
+    u = _philox_random(_philox_keys(as_seed(master_seed), index), box.n_sites)
     return density.ppf(u)
 
 

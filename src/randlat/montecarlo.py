@@ -26,14 +26,13 @@ alone, loaded by the spacing statistics only.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .lattice import (BackgroundSpec, BlockTridiagonal, DisorderDensity, HamiltonianSample,
-                      LatticeBox, SeedRecord, as_integer, background_operator,
+                      LatticeBox, SeedRecord, as_integer, as_seed, background_operator,
                       sample_potentials)
 from .spectral import (NumericalFault, _as_z, check_exponent, count_block, det_im_block,
                        green_columns, imag_part, slice_green, spectrum, sum_principal_minors,
@@ -64,6 +63,7 @@ class McConfig:
     def __post_init__(self):
         check_count("samples", self.samples)
         check_count("workers", self.workers)
+        object.__setattr__(self, "master_seed", as_seed(self.master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,8 @@ def _map_blocks(config: McConfig,
     pooled = stacked and min(operator.blocks.shape[:2]) > 1  # (slices, m)
     if not pooled or config.workers == 1 or len(blocks) == 1:
         return [run_block(block) for block in blocks]
+    from concurrent.futures import ThreadPoolExecutor  # only a pooled run loads it
+
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(run_block, blocks))
 

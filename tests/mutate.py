@@ -42,6 +42,7 @@ class Mutant:
 
 
 MC, SPECTRAL = "src/randlat/montecarlo.py", "src/randlat/spectral.py"
+LATTICE = "src/randlat/lattice.py"
 WITNESSES = "tests/test_montecarlo.py::TestDiagonalWitnesses::"
 
 MUTANTS = [
@@ -126,6 +127,17 @@ MUTANTS = [
            "row -= c / np.where(p == 0, _TINY, p)",
            "row -= c / np.where(p == 0, -_TINY, p)",
            "tests/test_spectral.py::TestTridiagonalPath::test_block_count_matches_dense"),
+    # what a model run loads, and the seed check
+    Mutant("lattice imports numpy.random at module level", LATTICE,
+           "import numpy as np\n\n\nclass ModelError",
+           "import numpy as np\nfrom numpy.random import Generator, Philox, SeedSequence\n\n\n"
+           "class ModelError",
+           "tests/test_cli.py::TestImports::"
+           "test_model_runs_load_numpy_random_and_the_pool_only_if_used"),
+    Mutant("seed check lets -1 through", LATTICE,
+           "if seed < 0:",
+           "if seed < -1:",
+           "tests/test_cli.py::TestParseConfig::test_error_messages_carry_field_paths"),
 ]
 
 

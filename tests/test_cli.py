@@ -478,6 +478,35 @@ class TestImports:
                 "print('scipy.linalg' in sys.modules)")
         assert self.run_python(code, json.dumps(configs)) == "False"
 
+    @pytest.mark.parametrize("experiment, sides, pooled", [
+        pytest.param({"name": "wegner", "interval": [0.4, 0.6], "n": 1}, [10], False, id="wegner"),
+        pytest.param({"name": "ids", "energy": 0.5}, [10], False, id="ids"),
+        pytest.param({"name": "dos", "energy": 0.5}, [10], False, id="dos"),
+        pytest.param({"name": "fracmoment", "energy": 0.5, "eps": 0.1, "s": 0.5}, [10], False,
+                     id="fracmoment"),
+        pytest.param({"name": "spacing", "energy": 0.5, "window": 4.0, "dos_bandwidth": 0.3},
+                     [10], False, id="spacing"),
+        pytest.param({"name": "minami", "z": [0.5, 0.1], "delta": [2, 3]}, [10], False,
+                     id="minami-chain"),
+        # two scheduling blocks of 30 sites at workers 2: the one run that pools
+        pytest.param({"name": "minami", "z": [0.5, 0.1], "delta": [13, 14], "samples": 600},
+                     [6, 5], True, id="minami-2d"),
+    ])
+    def test_model_runs_load_numpy_random_and_the_pool_only_if_used(self, experiment, sides,
+                                                                     pooled):
+        # every run draws with lattice's own Philox, so numpy.random (about 6 MB of
+        # peak memory) loads only if a bare `import numpy` loads it, as numpy < 2
+        # may; concurrent.futures loads only where blocks go to the thread pool
+        config = dict(MINAMI_CONFIG, model=dict(MINAMI_CONFIG["model"], sides=sides),
+                      experiment={"samples": 20, **experiment})
+        code = ("import json, sys; import numpy\n"
+                "eager = 'numpy.random' in sys.modules\n"
+                "from randlat import cli\n"
+                "cli.run_experiment(cli.parse_config(json.loads(sys.argv[1])))\n"
+                "print(['numpy.random' in sys.modules and not eager,"
+                " 'concurrent.futures' in sys.modules])")
+        assert self.run_python(code, json.dumps(config)) == str([False, pooled])
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):

@@ -289,6 +289,29 @@ class TestBlockDraw:
         with pytest.raises(ValueError):
             rl.sample_potentials(box, density, -1, [0])
 
+    @pytest.mark.parametrize("seed", [7.5, True, -1], ids=["fractional", "bool", "negative"])
+    def test_every_entry_rejects_a_seed_that_is_not_a_natural_number(self, seed):
+        # a check that truncates would draw seed 7 for 7.5, and seed 1 for True
+        box, density = rl.LatticeBox((4,)), rl.Uniform(0.0, 1.0)
+        model = rl.ModelSpec(box, rl.Laplacian(), density)
+        for call in (lambda: rl.sample_potentials(box, density, seed, [0]),
+                     lambda: rl.sample_potential(box, density, (seed, 0)),
+                     lambda: rl.assemble(box, rl.Laplacian(), density, (seed, 0)),
+                     lambda: rl.McConfig(model, samples=4, master_seed=seed)):
+            with pytest.raises(ValueError if seed == -1 else TypeError):
+                call()
+
+    @pytest.mark.parametrize("seed, key", [(7.0, 7), (np.int64(7), 7), (2 ** 160, 2 ** 160)],
+                             ids=["integral-float", "numpy-int", "2**160"])
+    def test_integral_seeds_draw_their_integer_stream(self, seed, key):
+        box, density = rl.LatticeBox((9,)), rl.Uniform(-2.0, 3.0)
+        block = rl.sample_potentials(box, density, seed, [0, 5])
+        assert block.tobytes() == rl.sample_potentials(box, density, key, [0, 5]).tobytes()
+        assert block.tobytes() == np.stack([rl.sample_potential(box, density, (seed, i))
+                                            for i in (0, 5)]).tobytes()
+        config = rl.McConfig(rl.ModelSpec(box, rl.Laplacian(), density), 4, seed)
+        assert type(config.master_seed) is int and config.master_seed == key
+
 
 class TestAssembly:
     def test_zero_potential_hook(self):

@@ -550,7 +550,7 @@ class TestCallingThread:
     def test_chains_and_counts_never_reach_the_pool(self, monkeypatch, draws):
         def refuse(*args, **kwargs):
             raise AssertionError("realizations went to the thread pool")
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
 
         def crossing(sides, **kwargs):  # a config of two scheduling blocks
             return make_config(sides=sides, samples=block_rows(sides) + 7, workers=8, **kwargs)
@@ -573,7 +573,7 @@ class TestCallingThread:
         def record(*args, **kwargs):
             pools.append(kwargs)
             return ThreadPoolExecutor(*args, **kwargs)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", record)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", record)
         cfg = make_config(sides=(3, 4), samples=block_rows((3, 4)) + 7, workers=2)
         assert mc.mc_minami(cfg, 0.5 + 0.1j, [1, 7]).estimate.samples == cfg.samples
         assert pools == [{"max_workers": 2}]
